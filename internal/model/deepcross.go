@@ -19,8 +19,11 @@ type DeepCross struct {
 	x0Cat   nn.Concat2 // dense ++ emb → x0
 	headCat nn.Concat2 // crossOut ++ deepOut → head input
 
-	x0   *tensor.Matrix
-	dEmb *tensor.Matrix
+	x0     *tensor.Matrix
+	dl     tensor.Matrix // dlogits as a B×1 column
+	dx0    *tensor.Matrix
+	dEmb   *tensor.Matrix
+	params []nn.Param
 }
 
 // NumCrossLayers is the cross-network depth (the DCN paper's Criteo config).
@@ -37,6 +40,11 @@ func NewDeepCross(cfg Config) *DeepCross {
 	}
 	m.deep = nn.NewMLP([]int{x0Dim, 1024, 512, 256, 64, dim}, true, rng)
 	m.head = nn.NewMLP([]int{x0Dim + dim, 512, 256, 1}, false, rng)
+	var cross []nn.Param
+	for _, c := range m.cross {
+		cross = append(cross, c.Params()...)
+	}
+	m.params = joinParams(cross, m.deep.Params(), m.head.Params())
 	return m
 }
 
@@ -61,13 +69,16 @@ func (m *DeepCross) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
 
 // Backward implements Model.
 func (m *DeepCross) Backward(dlogits []float32) *tensor.Matrix {
-	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dHeadIn := m.head.Backward(column(&m.dl, dlogits))
 	dCross, dDeep := m.headCat.Backward2(dHeadIn)
 
 	// cross-network backprop: walk layers in reverse, accumulating each
-	// layer's gradient with respect to the shared x0.
-	dx := dCross.Clone()
-	dx0 := tensor.NewMatrix(dx.Rows, dx.Cols)
+	// layer's gradient with respect to the shared x0. The layers only read
+	// their dout, so dx starts as headCat's buffer itself.
+	dx := dCross
+	m.dx0 = tensor.Ensure(m.dx0, dx.Rows, dx.Cols)
+	dx0 := m.dx0
+	dx0.Zero()
 	for i := len(m.cross) - 1; i >= 0; i-- {
 		dx = m.cross[i].Backward(dx)
 		dx0.AddScaled(m.cross[i].GradX0(), 1)
@@ -82,15 +93,7 @@ func (m *DeepCross) Backward(dlogits []float32) *tensor.Matrix {
 }
 
 // Params implements Model.
-func (m *DeepCross) Params() []nn.Param {
-	var ps []nn.Param
-	for _, c := range m.cross {
-		ps = append(ps, c.Params()...)
-	}
-	ps = append(ps, m.deep.Params()...)
-	ps = append(ps, m.head.Params()...)
-	return ps
-}
+func (m *DeepCross) Params() []nn.Param { return m.params }
 
 // DenseParamCount implements Model.
 func (m *DeepCross) DenseParamCount() int {

@@ -31,10 +31,11 @@ type DeepFM struct {
 	deep     *nn.MLP
 	deepHead *nn.Linear
 
-	cats    [][]uint64
-	dEmbFM  *tensor.Matrix
-	dEmb    *tensor.Matrix
-	dDeepIn *tensor.Matrix
+	cats   [][]uint64
+	logits []float32
+	dl     tensor.Matrix // dlogits as a B×1 column
+	dEmb   *tensor.Matrix
+	params []nn.Param
 }
 
 // NewDeepFM builds DeepFM for the given dataset shape. cfg.TotalRows must
@@ -53,6 +54,8 @@ func NewDeepFM(cfg Config) *DeepFM {
 	embCols := cfg.NumCategorical * dim
 	m.deep = nn.NewMLP([]int{embCols, 64, 64, 64}, true, rng)
 	m.deepHead = nn.NewLinear(64, 1, rng)
+	linear := []nn.Param{{Name: "deepfm.linear_features", Value: m.linW, Grad: m.linGrad}}
+	m.params = joinParams(linear, m.deep.Params(), m.deepHead.Params())
 	return m
 }
 
@@ -70,7 +73,10 @@ func (m *DeepFM) Forward(_, emb *tensor.Matrix, cats [][]uint64) []float32 {
 	m.cats = cats
 	fmOut := m.fm.Forward(emb)
 	deepOut := m.deepHead.Forward(m.deep.Forward(emb))
-	logits := make([]float32, emb.Rows)
+	if cap(m.logits) < emb.Rows {
+		m.logits = make([]float32, emb.Rows)
+	}
+	logits := m.logits[:emb.Rows]
 	bias := m.linW[len(m.linW)-1]
 	for i := range logits {
 		first := bias
@@ -84,12 +90,10 @@ func (m *DeepFM) Forward(_, emb *tensor.Matrix, cats [][]uint64) []float32 {
 
 // Backward implements Model.
 func (m *DeepFM) Backward(dlogits []float32) *tensor.Matrix {
-	dl := tensor.FromSlice(len(dlogits), 1, dlogits)
+	dl := column(&m.dl, dlogits)
 	dEmbFM := m.fm.Backward(dl)
 	dEmbDeep := m.deep.Backward(m.deepHead.Backward(dl))
-	if m.dEmb == nil || m.dEmb.Rows != dEmbFM.Rows || m.dEmb.Cols != dEmbFM.Cols {
-		m.dEmb = tensor.NewMatrix(dEmbFM.Rows, dEmbFM.Cols)
-	}
+	m.dEmb = tensor.Ensure(m.dEmb, dEmbFM.Rows, dEmbFM.Cols)
 	copy(m.dEmb.Data, dEmbFM.Data)
 	m.dEmb.AddScaled(dEmbDeep, 1)
 
@@ -105,12 +109,7 @@ func (m *DeepFM) Backward(dlogits []float32) *tensor.Matrix {
 
 // Params implements Model. The linear-feature block is first, so dense
 // synchronization accounts for its full 33.76M-scalar size.
-func (m *DeepFM) Params() []nn.Param {
-	ps := []nn.Param{{Name: "deepfm.linear_features", Value: m.linW, Grad: m.linGrad}}
-	ps = append(ps, m.deep.Params()...)
-	ps = append(ps, m.deepHead.Params()...)
-	return ps
-}
+func (m *DeepFM) Params() []nn.Param { return m.params }
 
 // DenseParamCount implements Model.
 func (m *DeepFM) DenseParamCount() int {

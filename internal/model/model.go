@@ -28,7 +28,8 @@ type Model interface {
 	EmbDim() int
 	// Forward computes per-example logits. dense is B×NumNumeric, emb is
 	// B×(NumCategorical·EmbDim) holding the gathered embedding rows in
-	// feature order, cats[i] are example i's global embedding IDs.
+	// feature order, cats[i] are example i's global embedding IDs. The
+	// returned slice is owned by the model and valid until the next call.
 	Forward(dense, emb *tensor.Matrix, cats [][]uint64) []float32
 	// Backward consumes dlogits (len B) and returns the gradient w.r.t.
 	// the emb input. Dense parameter gradients are accumulated internally.
@@ -77,7 +78,24 @@ func New(name string, cfg Config) (Model, error) {
 // Names lists the models in the paper's Table 2 order.
 func Names() []string { return []string{"dlrm", "wd", "dc", "deepfm"} }
 
-// lastColumn extracts a column-0 view of a B×1 matrix as a logits slice.
+// joinParams concatenates parameter lists into one exactly-sized slice.
+// Models build it once at construction, so Params is free per step.
+func joinParams(groups ...[]nn.Param) []nn.Param {
+	var ps []nn.Param
+	for _, g := range groups {
+		ps = append(ps, g...)
+	}
+	return ps[:len(ps):len(ps)]
+}
+
+// column points the model-owned header h at dlogits as a B×1 matrix, so
+// the backward pass wraps the loss gradient without allocating.
+func column(h *tensor.Matrix, dlogits []float32) *tensor.Matrix {
+	*h = tensor.Matrix{Rows: len(dlogits), Cols: 1, Data: dlogits}
+	return h
+}
+
+// logitsOf extracts a column-0 view of a B×1 matrix as a logits slice.
 func logitsOf(m *tensor.Matrix) []float32 {
 	if m.Cols != 1 {
 		panic(fmt.Sprintf("model: head output has %d cols, want 1", m.Cols))
@@ -101,7 +119,10 @@ type DLRM struct {
 	topCat  nn.Concat2 // bottomOut ++ interOut → top input
 
 	embCols int
+	dl      tensor.Matrix // dlogits as a B×1 column
+	dBot    *tensor.Matrix
 	dEmb    *tensor.Matrix
+	params  []nn.Param
 }
 
 // NewDLRM builds DLRM for the given dataset shape.
@@ -115,6 +136,7 @@ func NewDLRM(cfg Config) *DLRM {
 	topIn := dim + m.inter.OutDim()
 	m.top = nn.NewMLP([]int{topIn, 1024, 1024, 1024, 256, 128, 1}, false, rng)
 	m.embCols = cfg.NumCategorical * dim
+	m.params = joinParams(m.bottom.Params(), m.top.Params())
 	return m
 }
 
@@ -135,21 +157,20 @@ func (m *DLRM) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
 
 // Backward implements Model.
 func (m *DLRM) Backward(dlogits []float32) *tensor.Matrix {
-	dTopIn := m.top.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dTopIn := m.top.Backward(column(&m.dl, dlogits))
 	dBot1, dInter := m.topCat.Backward2(dTopIn)
 	dFeats := m.inter.Backward(dInter)
 	dEmbView, dBot2 := m.featCat.Backward2(dFeats)
-	dBot := dBot1.Clone()
-	dBot.AddScaled(dBot2, 1)
-	m.bottom.Backward(dBot)
+	m.dBot = tensor.Ensure(m.dBot, dBot1.Rows, dBot1.Cols)
+	copy(m.dBot.Data, dBot1.Data)
+	m.dBot.AddScaled(dBot2, 1)
+	m.bottom.Backward(m.dBot)
 	m.dEmb = dEmbView
 	return m.dEmb
 }
 
 // Params implements Model.
-func (m *DLRM) Params() []nn.Param {
-	return append(m.bottom.Params(), m.top.Params()...)
-}
+func (m *DLRM) Params() []nn.Param { return m.params }
 
 // DenseParamCount implements Model.
 func (m *DLRM) DenseParamCount() int { return m.bottom.NumParams() + m.top.NumParams() }
@@ -166,7 +187,9 @@ type WideDeep struct {
 	head *nn.Linear
 	cat  nn.Concat2
 
-	dEmb *tensor.Matrix
+	dl     tensor.Matrix // dlogits as a B×1 column
+	dEmb   *tensor.Matrix
+	params []nn.Param
 }
 
 // NewWideDeep builds Wide&Deep for the given dataset shape.
@@ -176,6 +199,7 @@ func NewWideDeep(cfg Config) *WideDeep {
 	m := &WideDeep{cfg: cfg, dim: dim}
 	m.deep = nn.NewMLP([]int{cfg.NumNumeric, 256, 256, 256}, true, rng)
 	m.head = nn.NewLinear(256+cfg.NumCategorical*dim, 1, rng)
+	m.params = joinParams(m.deep.Params(), m.head.Params())
 	return m
 }
 
@@ -194,7 +218,7 @@ func (m *WideDeep) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
 
 // Backward implements Model.
 func (m *WideDeep) Backward(dlogits []float32) *tensor.Matrix {
-	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dHeadIn := m.head.Backward(column(&m.dl, dlogits))
 	dDeep, dEmb := m.cat.Backward2(dHeadIn)
 	m.deep.Backward(dDeep)
 	m.dEmb = dEmb
@@ -202,9 +226,7 @@ func (m *WideDeep) Backward(dlogits []float32) *tensor.Matrix {
 }
 
 // Params implements Model.
-func (m *WideDeep) Params() []nn.Param {
-	return append(m.deep.Params(), m.head.Params()...)
-}
+func (m *WideDeep) Params() []nn.Param { return m.params }
 
 // DenseParamCount implements Model.
 func (m *WideDeep) DenseParamCount() int { return m.deep.NumParams() + m.head.NumParams() }

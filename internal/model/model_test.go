@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bagpipe/internal/nn"
@@ -221,7 +222,8 @@ func TestDeepFMFirstOrderPath(t *testing.T) {
 	cfg := tinyCfg()
 	m := NewDeepFM(cfg)
 	dense, emb, cats, _ := tinyBatch(2, m.EmbDim())
-	base := m.Forward(dense, emb, cats)
+	// Forward's logits live in a model-owned buffer: keep a copy.
+	base := append([]float32(nil), m.Forward(dense, emb, cats)...)
 	// bump a first-order weight used by example 0 only
 	id := cats[0][0]
 	m.linW[id] += 1
@@ -264,5 +266,104 @@ func TestEmbDimOverride(t *testing.T) {
 	cfg.EmbDim = 0
 	if NewDLRM(cfg).EmbDim() != 48 {
 		t.Fatal("default dim should be 48")
+	}
+}
+
+// denseRows are the per-rank row counts a dense step cycles through: an
+// LRPP partitioner hands each rank a different share of every batch.
+var denseRows = []int{8, 5, 7, 3, 8, 6}
+
+// denseStepRig drives one rank's dense step — ZeroGrads, Forward, loss
+// gradient, Backward, as train.computeLocal runs it — for every model in
+// Names(), each call at the next row count in denseRows.
+type denseStepRig struct {
+	models  []Model
+	dense   []*tensor.Matrix // per denseRows entry
+	emb     []*tensor.Matrix
+	cats    [][][]uint64
+	labels  []float32
+	dlogits []float32
+	next    int
+}
+
+func newDenseStepRig(tb testing.TB) *denseStepRig {
+	cfg := Config{NumCategorical: 4, NumNumeric: 13, TotalRows: 400, EmbDim: 16, Seed: 3}
+	r := &denseStepRig{}
+	for _, name := range Names() {
+		m, err := New(name, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r.models = append(r.models, m)
+	}
+	rng := tensor.NewRNG(11)
+	for _, n := range denseRows {
+		dense := tensor.NewMatrix(n, cfg.NumNumeric)
+		emb := tensor.NewMatrix(n, cfg.NumCategorical*cfg.EmbDim)
+		for i := range dense.Data {
+			dense.Data[i] = rng.Float32()*2 - 1
+		}
+		for i := range emb.Data {
+			emb.Data[i] = (rng.Float32() - 0.5) * 0.1
+		}
+		cats := make([][]uint64, n)
+		for i := range cats {
+			cats[i] = make([]uint64, cfg.NumCategorical)
+			for c := range cats[i] {
+				cats[i][c] = uint64(c*100 + rng.Intn(100))
+			}
+		}
+		r.dense, r.emb, r.cats = append(r.dense, dense), append(r.emb, emb), append(r.cats, cats)
+	}
+	r.labels = make([]float32, slices.Max(denseRows))
+	for i := range r.labels {
+		r.labels[i] = float32(rng.Intn(2))
+	}
+	r.dlogits = make([]float32, len(r.labels))
+	return r
+}
+
+// cycle runs one dense step at every row count in denseRows, so an
+// allocation made at any point of the cycle shows as at least one per run.
+func (r *denseStepRig) cycle() {
+	for range denseRows {
+		r.step()
+	}
+}
+
+func (r *denseStepRig) step() {
+	k := r.next % len(denseRows)
+	r.next++
+	for _, m := range r.models {
+		nn.ZeroGrads(m.Params())
+		logits := m.Forward(r.dense[k], r.emb[k], r.cats[k])
+		dl := r.dlogits[:len(logits)]
+		for j, z := range logits {
+			dl[j] = (nn.SigmoidScalar(z) - r.labels[j]) / 16
+		}
+		m.Backward(dl)
+	}
+}
+
+// TestDenseStepAllocFree pins the dense step's steady state: once every
+// layer has seen the largest row count, forward and backward allocate
+// nothing for any model, whatever share of the batch the rank gets.
+func TestDenseStepAllocFree(t *testing.T) {
+	r := newDenseStepRig(t)
+	r.cycle()
+	if avg := testing.AllocsPerRun(3, r.cycle); avg != 0 {
+		t.Fatalf("dense step cycle allocates %.2f times per run, want 0", avg)
+	}
+}
+
+// BenchmarkDenseStep times one cycle of dense steps of every model, one
+// step per row count in denseRows; CI requires it to report 0 allocs/op.
+func BenchmarkDenseStep(b *testing.B) {
+	r := newDenseStepRig(b)
+	r.cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.cycle()
 	}
 }

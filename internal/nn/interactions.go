@@ -32,7 +32,7 @@ func (d *DotInteraction) Forward(x *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: DotInteraction expected %d cols, got %d", d.NumFeat*d.Dim, x.Cols))
 	}
 	d.x = x
-	d.out = ensureShape(d.out, x.Rows, d.OutDim())
+	d.out = tensor.Ensure(d.out, x.Rows, d.OutDim())
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		orow := d.out.Row(r)
@@ -51,7 +51,7 @@ func (d *DotInteraction) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *DotInteraction) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	d.dx = ensureShape(d.dx, d.x.Rows, d.x.Cols)
+	d.dx = tensor.Ensure(d.dx, d.x.Rows, d.x.Cols)
 	d.dx.Zero()
 	for r := 0; r < d.x.Rows; r++ {
 		row := d.x.Row(r)
@@ -103,8 +103,8 @@ func (f *FMSecondOrder) Forward(x *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: FMSecondOrder expected %d cols, got %d", f.NumFeat*f.Dim, x.Cols))
 	}
 	f.x = x
-	f.sums = ensureShape(f.sums, x.Rows, f.Dim)
-	f.out = ensureShape(f.out, x.Rows, 1)
+	f.sums = tensor.Ensure(f.sums, x.Rows, f.Dim)
+	f.out = tensor.Ensure(f.out, x.Rows, 1)
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		srow := f.sums.Row(r)
@@ -131,7 +131,7 @@ func (f *FMSecondOrder) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward implements Layer.
 func (f *FMSecondOrder) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	// ∂y/∂v_ik = Σ_j v_jk − v_ik
-	f.dx = ensureShape(f.dx, f.x.Rows, f.x.Cols)
+	f.dx = tensor.Ensure(f.dx, f.x.Rows, f.x.Cols)
 	for r := 0; r < f.x.Rows; r++ {
 		row := f.x.Row(r)
 		srow := f.sums.Row(r)
@@ -168,6 +168,8 @@ type CrossLayer struct {
 	out *tensor.Matrix
 	dx  *tensor.Matrix
 	dx0 *tensor.Matrix
+
+	params []Param
 }
 
 // NewCrossLayer returns a cross layer over width-dim inputs.
@@ -180,6 +182,10 @@ func NewCrossLayer(dim int, rng *tensor.RNG) *CrossLayer {
 		GradB: make([]float32, dim),
 	}
 	tensor.UniformInit(c.W, float32(1.0/float64(dim)), rng)
+	c.params = []Param{
+		{Name: fmt.Sprintf("cross%d.w", dim), Value: c.W, Grad: c.GradW},
+		{Name: fmt.Sprintf("cross%d.b", dim), Value: c.B, Grad: c.GradB},
+	}
 	return c
 }
 
@@ -200,7 +206,7 @@ func (c *CrossLayer) Forward(x *tensor.Matrix) *tensor.Matrix {
 		c.xw = make([]float32, x.Rows)
 	}
 	c.xw = c.xw[:x.Rows]
-	c.out = ensureShape(c.out, x.Rows, c.Dim)
+	c.out = tensor.Ensure(c.out, x.Rows, c.Dim)
 	for r := 0; r < x.Rows; r++ {
 		row := x.Row(r)
 		s := tensor.Dot(row, c.W)
@@ -217,8 +223,8 @@ func (c *CrossLayer) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward implements Layer. The returned matrix is the gradient w.r.t. x;
 // the gradient w.r.t. x0 is accumulated and available via GradX0.
 func (c *CrossLayer) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	c.dx = ensureShape(c.dx, dout.Rows, c.Dim)
-	c.dx0 = ensureShape(c.dx0, dout.Rows, c.Dim)
+	c.dx = tensor.Ensure(c.dx, dout.Rows, c.Dim)
+	c.dx0 = tensor.Ensure(c.dx0, dout.Rows, c.Dim)
 	for r := 0; r < dout.Rows; r++ {
 		dorow := dout.Row(r)
 		x0row := c.x0.Row(r)
@@ -244,13 +250,9 @@ func (c *CrossLayer) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // the last Backward call.
 func (c *CrossLayer) GradX0() *tensor.Matrix { return c.dx0 }
 
-// Params implements Layer.
-func (c *CrossLayer) Params() []Param {
-	return []Param{
-		{Name: fmt.Sprintf("cross%d.w", c.Dim), Value: c.W, Grad: c.GradW},
-		{Name: fmt.Sprintf("cross%d.b", c.Dim), Value: c.B, Grad: c.GradB},
-	}
-}
+// Params implements Layer. The slice is built once; callers must not
+// modify it.
+func (c *CrossLayer) Params() []Param { return c.params }
 
 // NumParams returns the number of scalar parameters in the layer.
 func (c *CrossLayer) NumParams() int { return 2 * c.Dim }
@@ -269,7 +271,7 @@ func (c *Concat2) Forward2(a, b *tensor.Matrix) *tensor.Matrix {
 		panic("nn: Concat2 row mismatch")
 	}
 	c.aCols, c.bCols = a.Cols, b.Cols
-	c.out = ensureShape(c.out, a.Rows, a.Cols+b.Cols)
+	c.out = tensor.Ensure(c.out, a.Rows, a.Cols+b.Cols)
 	for r := 0; r < a.Rows; r++ {
 		orow := c.out.Row(r)
 		copy(orow[:a.Cols], a.Row(r))
@@ -280,8 +282,8 @@ func (c *Concat2) Forward2(a, b *tensor.Matrix) *tensor.Matrix {
 
 // Backward2 splits dout into the gradients for the two inputs.
 func (c *Concat2) Backward2(dout *tensor.Matrix) (da, db *tensor.Matrix) {
-	c.da = ensureShape(c.da, dout.Rows, c.aCols)
-	c.db = ensureShape(c.db, dout.Rows, c.bCols)
+	c.da = tensor.Ensure(c.da, dout.Rows, c.aCols)
+	c.db = tensor.Ensure(c.db, dout.Rows, c.bCols)
 	for r := 0; r < dout.Rows; r++ {
 		drow := dout.Row(r)
 		copy(c.da.Row(r), drow[:c.aCols])

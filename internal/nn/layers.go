@@ -45,9 +45,14 @@ type Linear struct {
 	GradW   *tensor.Matrix
 	GradB   []float32
 
-	x   *tensor.Matrix // cached input
-	out *tensor.Matrix
-	dx  *tensor.Matrix
+	x    *tensor.Matrix // cached input
+	out  *tensor.Matrix
+	dx   *tensor.Matrix
+	gw   *tensor.Matrix // this step's weight gradient, before accumulation
+	sums []float32      // this step's bias gradient, before accumulation
+	ws   tensor.Workspace
+
+	params []Param
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights drawn
@@ -62,14 +67,11 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 		GradB: make([]float32, out),
 	}
 	tensor.XavierInit(l.W, in, out, rng)
-	return l
-}
-
-func ensureShape(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if m == nil || m.Rows != rows || m.Cols != cols {
-		return tensor.NewMatrix(rows, cols)
+	l.params = []Param{
+		{Name: fmt.Sprintf("linear%dx%d.W", in, out), Value: l.W.Data, Grad: l.GradW.Data},
+		{Name: fmt.Sprintf("linear%dx%d.b", in, out), Value: l.B, Grad: l.GradB},
 	}
-	return m
+	return l
 }
 
 // Forward implements Layer.
@@ -78,8 +80,8 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: Linear(%d,%d) got input with %d cols", l.In, l.Out, x.Cols))
 	}
 	l.x = x
-	l.out = ensureShape(l.out, x.Rows, l.Out)
-	tensor.MatMul(l.out, x, l.W)
+	l.out = tensor.Ensure(l.out, x.Rows, l.Out)
+	tensor.MatMul(l.out, x, l.W, &l.ws)
 	tensor.AddRowVector(l.out, l.B)
 	return l.out
 }
@@ -87,25 +89,23 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward implements Layer.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	// dW += xᵀ·dout ; db += colsums(dout) ; dx = dout·Wᵀ
-	gw := tensor.NewMatrix(l.In, l.Out)
-	tensor.MatMulAT(gw, l.x, dout)
-	l.GradW.AddScaled(gw, 1)
-	sums := make([]float32, l.Out)
-	tensor.ColSums(sums, dout)
-	tensor.Axpy(1, sums, l.GradB)
+	if l.gw == nil { // forward-only (serving) layers never pay for these
+		l.gw = tensor.NewMatrix(l.In, l.Out)
+		l.sums = make([]float32, l.Out)
+	}
+	tensor.MatMulAT(l.gw, l.x, dout, &l.ws)
+	l.GradW.AddScaled(l.gw, 1)
+	tensor.ColSums(l.sums, dout)
+	tensor.Axpy(1, l.sums, l.GradB)
 
-	l.dx = ensureShape(l.dx, dout.Rows, l.In)
-	tensor.MatMulBT(l.dx, dout, l.W)
+	l.dx = tensor.Ensure(l.dx, dout.Rows, l.In)
+	tensor.MatMulBT(l.dx, dout, l.W, &l.ws)
 	return l.dx
 }
 
-// Params implements Layer.
-func (l *Linear) Params() []Param {
-	return []Param{
-		{Name: fmt.Sprintf("linear%dx%d.W", l.In, l.Out), Value: l.W.Data, Grad: l.GradW.Data},
-		{Name: fmt.Sprintf("linear%dx%d.b", l.In, l.Out), Value: l.B, Grad: l.GradB},
-	}
-}
+// Params implements Layer. The slice is built once; callers must not
+// modify it.
+func (l *Linear) Params() []Param { return l.params }
 
 // NumParams returns the number of scalar parameters in the layer.
 func (l *Linear) NumParams() int { return l.In*l.Out + l.Out }
@@ -120,7 +120,7 @@ type ReLU struct {
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	r.x = x
-	r.out = ensureShape(r.out, x.Rows, x.Cols)
+	r.out = tensor.Ensure(r.out, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
 			r.out.Data[i] = v
@@ -133,7 +133,7 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	r.dx = ensureShape(r.dx, dout.Rows, dout.Cols)
+	r.dx = tensor.Ensure(r.dx, dout.Rows, dout.Cols)
 	for i, v := range r.x.Data {
 		if v > 0 {
 			r.dx.Data[i] = dout.Data[i]
@@ -160,7 +160,7 @@ func SigmoidScalar(x float32) float32 {
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Matrix) *tensor.Matrix {
-	s.out = ensureShape(s.out, x.Rows, x.Cols)
+	s.out = tensor.Ensure(s.out, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		s.out.Data[i] = SigmoidScalar(v)
 	}
@@ -169,7 +169,7 @@ func (s *Sigmoid) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	s.dx = ensureShape(s.dx, dout.Rows, dout.Cols)
+	s.dx = tensor.Ensure(s.dx, dout.Rows, dout.Cols)
 	for i, o := range s.out.Data {
 		s.dx.Data[i] = dout.Data[i] * o * (1 - o)
 	}
@@ -183,6 +183,7 @@ func (s *Sigmoid) Params() []Param { return nil }
 // after the last layer.
 type MLP struct {
 	layers []Layer
+	params []Param
 }
 
 // NewMLP builds an MLP with the given layer widths. dims[0] is the input
@@ -199,6 +200,10 @@ func NewMLP(dims []int, reluOnOutput bool, rng *tensor.RNG) *MLP {
 			m.layers = append(m.layers, &ReLU{})
 		}
 	}
+	for _, l := range m.layers {
+		m.params = append(m.params, l.Params()...)
+	}
+	m.params = m.params[:len(m.params):len(m.params)]
 	return m
 }
 
@@ -218,14 +223,9 @@ func (m *MLP) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return dout
 }
 
-// Params implements Layer.
-func (m *MLP) Params() []Param {
-	var ps []Param
-	for _, l := range m.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params implements Layer. The slice is built once; callers must not
+// modify it.
+func (m *MLP) Params() []Param { return m.params }
 
 // NumParams returns the number of scalar parameters in the MLP.
 func (m *MLP) NumParams() int {

@@ -28,6 +28,17 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
+// Ensure returns m reshaped to rows×cols, reusing its storage when the
+// capacity suffices and allocating a zeroed matrix only when m is nil or
+// too small. A reused matrix keeps stale values: callers overwrite it.
+func Ensure(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return NewMatrix(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // FromSlice wraps data (not copied) as a rows×cols matrix.
 func FromSlice(rows, cols int, data []float32) *Matrix {
 	if len(data) != rows*cols {
@@ -91,71 +102,6 @@ func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
 		}
 	}
 	return true
-}
-
-// MatMul computes dst = a × b. dst must be a.Rows × b.Cols and must not
-// alias a or b.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)×(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulBT computes dst = a × bᵀ. dst must be a.Rows × b.Rows.
-func MatMulBT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch (%dx%d)×(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
-}
-
-// MatMulAT computes dst = aᵀ × b. dst must be a.Cols × b.Cols.
-func MatMulAT(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulAT shape mismatch (%dx%d)ᵀ×(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
 }
 
 // AddRowVector adds vector v to every row of m in place.

@@ -46,13 +46,14 @@ func CalibrateIterTime(cfg Config, iters int) (time.Duration, error) {
 	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 	assign := make([]int, cfg.BatchSize) // every example on rank 0
 	var start time.Time
+	var dlogits []float32
 	for i := 0; i <= iters; i++ {
 		if i == 1 {
 			start = time.Now()
 		}
 		b := gen.Batch(i, cfg.BatchSize)
 		ls := extractLocal(b, assign, 0, cfg.Spec.NumCategorical, cfg.Spec.NumNumeric, cfg.Spec.EmbDim, nil)
-		computeLocal(m, ls)
+		computeLocal(m, ls, &dlogits)
 		opt.Step(m.Params())
 	}
 	return time.Since(start) / time.Duration(iters), nil

@@ -198,9 +198,10 @@ type lrppTrainer struct {
 	p   int
 	eng *lrppEngine
 
-	model  model.Model
-	opt    optim.Optimizer
-	rowOpt interface {
+	model   model.Model
+	dlogits []float32 // computeLocal's loss-gradient buffer
+	opt     optim.Optimizer
+	rowOpt  interface {
 		optim.Optimizer
 		optim.RowOptimizer
 	}
@@ -955,7 +956,7 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		transport.PutRowMap(replicas)
 	}
 	eng.activeTrain.Add(1)
-	loss, dEmb := computeLocal(t.model, ls)
+	loss, dEmb := computeLocal(t.model, ls, &t.dlogits)
 	params := t.model.Params()
 	segs := make([][]float32, len(params))
 	for i, p := range params {

@@ -388,9 +388,10 @@ func (r *ranks) run(rank int) {
 	defer r.wg.Done()
 	m := r.models[rank]
 	opt := r.opts[rank]
+	var dlogits []float32
 	for w := range r.in[rank] {
 		ls := extractLocal(w.batch, w.assign, rank, r.numCat, r.numDense, r.dim, w.rows)
-		loss, dEmb := computeLocal(m, ls)
+		loss, dEmb := computeLocal(m, ls, &dlogits)
 		// Every rank joins every collective (idle ranks contribute zeros)
 		// and steps the summed gradient, keeping all replicas bit-identical.
 		for _, p := range m.Params() {
@@ -448,7 +449,8 @@ func extractLocal(b *data.Batch, assign []int, rank, numCat, numDense, dim int, 
 // computeLocal runs forward/backward for one rank's slice, accumulating
 // dense gradients into the model and returning the partial loss plus the
 // gradient w.r.t. the gathered embedding rows (nil for an idle rank).
-func computeLocal(m model.Model, ls *localSlice) (float64, *tensor.Matrix) {
+// dlogits is the rank's reusable loss-gradient buffer, grown as needed.
+func computeLocal(m model.Model, ls *localSlice, dlogits *[]float32) (float64, *tensor.Matrix) {
 	nn.ZeroGrads(m.Params())
 	if len(ls.mine) == 0 { // a partitioner may leave a rank idle for a batch
 		return 0, nil
@@ -458,13 +460,16 @@ func computeLocal(m model.Model, ls *localSlice) (float64, *tensor.Matrix) {
 	// sum of per-rank dense gradients equals the full-batch mean
 	// gradient the baseline math defines.
 	invB := float32(1) / float32(ls.full)
-	dlogits := make([]float32, len(ls.mine))
+	if cap(*dlogits) < len(ls.mine) {
+		*dlogits = make([]float32, len(ls.mine))
+	}
+	dl := (*dlogits)[:len(ls.mine)]
 	var loss float64
 	for j, z := range logits {
 		loss += float64(stableBCE(z, ls.labels[j])) * float64(invB)
-		dlogits[j] = (nn.SigmoidScalar(z) - ls.labels[j]) * invB
+		dl[j] = (nn.SigmoidScalar(z) - ls.labels[j]) * invB
 	}
-	return loss, m.Backward(dlogits)
+	return loss, m.Backward(dl)
 }
 
 // stableBCE is the numerically stable per-example binary cross-entropy
