@@ -76,18 +76,16 @@ var (
 	embDim       = flag.Int("emb-dim", 0, "override embedding dimension (0 = dataset default)")
 	seed         = flag.Uint64("seed", 42, "experiment seed")
 
-	netFl    = flag.String("net", "", "fabric: inproc, sim, tcp (default: the -transport value)")
-	transpFl = flag.String("transport", "inproc", "deprecated alias of -net (values: inproc, simnet)")
-	netLat   = flag.Duration("net-latency", time.Millisecond, "sim: per-call round-trip latency to the embedding servers")
-	netBW    = flag.Float64("net-bw", 1e9, "sim: embedding-server link bandwidth in bytes/sec (0 = infinite)")
-	meshLat  = flag.Duration("mesh-latency", 500*time.Microsecond, "lrpp + sim: trainer-to-trainer link latency")
-	meshBW   = flag.Float64("mesh-bw", 1e9, "lrpp + sim: trainer-to-trainer link bandwidth in bytes/sec (0 = infinite)")
+	netFl   = flag.String("net", "inproc", "fabric: inproc, sim, tcp")
+	netLat  = flag.Duration("net-latency", time.Millisecond, "sim: per-call round-trip latency to the embedding servers")
+	netBW   = flag.Float64("net-bw", 1e9, "sim: embedding-server link bandwidth in bytes/sec (0 = infinite)")
+	meshLat = flag.Duration("mesh-latency", 500*time.Microsecond, "lrpp + sim: trainer-to-trainer link latency")
+	meshBW  = flag.Float64("mesh-bw", 1e9, "lrpp + sim: trainer-to-trainer link bandwidth in bytes/sec (0 = infinite)")
 
 	serveFl     = flag.Bool("serve", false, "run as the embedding-server process (tcp); requires -listen")
 	listen      = flag.String("listen", "", "listen address for -serve, or bind override for a -rank worker")
-	rank        = flag.Int("rank", -1, "run as trainer process `rank` (tcp); requires -peers and -server-addr")
+	rank        = flag.Int("rank", -1, "run as trainer process `rank` (tcp); requires -peers and -server-addrs")
 	peersFl     = flag.String("peers", "", "comma-separated, rank-ordered trainer mesh addresses (tcp workers)")
-	serverAddr  = flag.String("server-addr", "", "deprecated alias of -server-addrs for a one-server tier (tcp workers)")
 	serverAddrs = flag.String("server-addrs", "", "comma-separated, server-ordered embedding-tier addresses (tcp workers); must list -servers addresses")
 	spawn       = flag.Bool("spawn", true, "tcp driver mode: fork the server and trainer processes locally over loopback")
 	killServer  = flag.Int("kill-server", -1, "chaos (tcp driver, lrpp): kill embedding server `K` mid-run; with -replicate >= 2 the run completes and certifies against the baseline")
@@ -266,7 +264,7 @@ func main() {
 	case netName == "tcp":
 		if !*spawn {
 			fatal(fmt.Errorf("-net tcp driver mode forks worker processes (-spawn); " +
-				"for a manual deployment start one process with -serve -listen and one per trainer with -rank/-peers/-server-addr (recipes in README.md)"))
+				"for a manual deployment start one process with -serve -listen and one per trainer with -rank/-peers/-server-addrs (recipes in README.md)"))
 		}
 		runTCPDriver(cfg, spec)
 	default:
@@ -274,29 +272,22 @@ func main() {
 	}
 }
 
-// resolveNet folds the deprecated -transport alias into -net.
+// resolveNet validates the -net fabric name.
 func resolveNet() (string, error) {
-	name := *netFl
-	if name == "" {
-		name = *transpFl
+	switch name := *netFl; name {
+	case "inproc", "sim", "tcp":
+		return name, nil
+	default:
+		return "", fmt.Errorf("unknown -net %q (inproc, sim, tcp)", name)
 	}
-	switch name {
-	case "", "inproc":
-		return "inproc", nil
-	case "sim", "simnet":
-		return "sim", nil
-	case "tcp":
-		return "tcp", nil
-	}
-	return "", fmt.Errorf("unknown -net %q (inproc, sim, tcp)", name)
 }
 
 // netExplicit reports whether the user named a fabric on the command line
-// (-net or the deprecated -transport alias) rather than inheriting defaults.
+// (-net) rather than inheriting the default.
 func netExplicit() bool {
 	explicit := false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "net" || f.Name == "transport" {
+		if f.Name == "net" {
 			explicit = true
 		}
 	})
@@ -446,17 +437,12 @@ func dialStores(addrs []string, timeout time.Duration, dead []bool, onLost func(
 	return transport.NewTier(children, topts), links, nil
 }
 
-// tierAddrs resolves the worker-mode server address list, honoring the
-// deprecated single-server alias.
+// tierAddrs resolves the worker-mode server address list.
 func tierAddrs() ([]string, error) {
-	list := *serverAddrs
-	if list == "" {
-		list = *serverAddr
+	if *serverAddrs == "" {
+		return nil, fmt.Errorf("-rank requires -server-addrs")
 	}
-	if list == "" {
-		return nil, fmt.Errorf("-rank requires -server-addrs (or -server-addr for a one-server tier)")
-	}
-	addrs := strings.Split(list, ",")
+	addrs := strings.Split(*serverAddrs, ",")
 	if want := tierCapacity(); len(addrs) != want {
 		if want != *servers {
 			return nil, fmt.Errorf("-server-addrs lists %d addresses for -servers %d with -reshard-to %d (need %d: launch width plus spare capacity)",

@@ -81,12 +81,12 @@ func GroupByOwner(ids []uint64, n int) (pos []int, bounds []int) {
 	return g.GroupByOwner(ids, n)
 }
 
-// GroupScratch holds the counting-sort work arrays of GroupByOwner so a
-// caller that groups every batch (the sharded tier's scatter, the embedding
-// server's shard split) reuses them instead of reallocating four slices per
-// call. The returned pos/bounds alias the scratch: they are valid until the
-// next GroupByOwner call on the same scratch, and a scratch must not be
-// shared by concurrent callers (pool per call site instead).
+// GroupScratch holds the counting-sort work arrays of GroupByOwner and
+// GroupByKey so a caller that groups every batch (the sharded tier's
+// scatter, the embedding server's shard split) reuses them instead of
+// reallocating per call. The returned pos/bounds alias the scratch: they are
+// valid until the next grouping call on the same scratch, and a scratch must
+// not be shared by concurrent callers (pool per call site instead).
 type GroupScratch struct {
 	owner  []int32
 	counts []int
@@ -102,31 +102,40 @@ func (g *GroupScratch) GroupByOwner(ids []uint64, n int) (pos []int, bounds []in
 	}
 	if cap(g.owner) < len(ids) {
 		g.owner = make([]int32, len(ids))
-		g.pos = make([]int, len(ids))
+	}
+	owner := g.owner[:len(ids)]
+	for i, id := range ids {
+		owner[i] = int32(id % uint64(n))
+	}
+	return g.GroupByKey(owner, n)
+}
+
+// GroupByKey is the counting sort under GroupByOwner, over keys the caller
+// computed: keys[i] ∈ [0, n) is position i's group. The sort is stable —
+// each group's positions stay ascending — and pos/bounds follow the
+// GroupByOwner contract with groups in place of owners.
+func (g *GroupScratch) GroupByKey(keys []int32, n int) (pos []int, bounds []int) {
+	if cap(g.pos) < len(keys) {
+		g.pos = make([]int, len(keys))
 	}
 	if cap(g.counts) < n+1 {
 		g.counts = make([]int, n+1)
 		g.bounds = make([]int, n+1)
 	}
-	owner, counts := g.owner[:len(ids)], g.counts[:n+1]
-	for o := range counts {
-		counts[o] = 0
+	counts := g.counts[:n+1]
+	clear(counts)
+	for _, k := range keys {
+		counts[k+1]++
 	}
-	for i, id := range ids {
-		o := int32(id % uint64(n))
-		owner[i] = o
-		counts[o+1]++
-	}
-	for o := 0; o < n; o++ {
-		counts[o+1] += counts[o]
+	for k := 0; k < n; k++ {
+		counts[k+1] += counts[k]
 	}
 	bounds = g.bounds[:n+1]
 	copy(bounds, counts)
-	pos = g.pos[:len(ids)]
-	for i := range ids {
-		o := owner[i]
-		pos[counts[o]] = i
-		counts[o]++
+	pos = g.pos[:len(keys)]
+	for i, k := range keys {
+		pos[counts[k]] = i
+		counts[k]++
 	}
 	return pos, bounds
 }

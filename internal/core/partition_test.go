@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"bagpipe/internal/data"
@@ -187,5 +188,48 @@ func TestExactAssignRespectsBalance(t *testing.T) {
 	checkBalanced(t, assign, 2)
 	if cost < 0 {
 		t.Fatal("no solution found")
+	}
+}
+
+// TestGroupByKey: the counting sort places every position exactly once, in
+// its key's run, ascending within the run (stable), with bounds delimiting
+// the runs — and GroupByOwner is the same sort over the owner keys. A
+// reused scratch regroups a larger key space correctly.
+func TestGroupByKey(t *testing.T) {
+	var g GroupScratch
+	for _, tc := range []struct {
+		keys []int32
+		n    int
+	}{
+		{[]int32{2, 0, 2, 1, 0, 2}, 3},
+		{[]int32{5, 5, 0, 3, 7, 0, 5}, 8},
+		{nil, 4},
+	} {
+		pos, bounds := g.GroupByKey(tc.keys, tc.n)
+		if len(pos) != len(tc.keys) || len(bounds) != tc.n+1 || bounds[0] != 0 || bounds[tc.n] != len(tc.keys) {
+			t.Fatalf("keys %v: pos %v bounds %v", tc.keys, pos, bounds)
+		}
+		for k := 0; k < tc.n; k++ {
+			var want []int
+			for i, key := range tc.keys {
+				if int(key) == k {
+					want = append(want, i)
+				}
+			}
+			if got := pos[bounds[k]:bounds[k+1]]; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("keys %v: group %d = %v, want %v", tc.keys, k, got, want)
+			}
+		}
+	}
+	ids := []uint64{9, 4, 7, 12, 3, 8}
+	keys := make([]int32, len(ids))
+	for i, id := range ids {
+		keys[i] = int32(OwnerOf(id, 4))
+	}
+	var g2 GroupScratch
+	wantPos, wantBounds := g2.GroupByKey(keys, 4)
+	gotPos, gotBounds := g.GroupByOwner(ids, 4)
+	if fmt.Sprint(gotPos, gotBounds) != fmt.Sprint(wantPos, wantBounds) {
+		t.Fatalf("GroupByOwner = %v %v, GroupByKey over owners = %v %v", gotPos, gotBounds, wantPos, wantBounds)
 	}
 }

@@ -45,7 +45,7 @@ type LRPPHooks struct {
 // batch, so owners can re-fold contributions in exact batch order no matter
 // which trainer computed them or in which order the mesh delivered them.
 // It is the transport wire type directly: the engine's mesh payloads
-// (transport.ReplicaMsg, transport.SyncMsg, and in worker mode
+// (transport.ReplicaMsg, transport.SyncBatchMsg, and in worker mode
 // transport.PlanMsg / transport.CollMsg) are identical over in-process,
 // simulated, and TCP fabrics — only the TCP mesh additionally runs them
 // through the little-endian codec.
@@ -598,17 +598,10 @@ func (t *lrppTrainer) startReceiver() {
 				t.repFrom[pl.Iter] = rb
 				t.mu.Unlock()
 				t.cond.Broadcast()
-			case transport.SyncMsg:
-				t.mu.Lock()
-				for id, es := range pl.Entries {
-					t.depositLocked(id, pl.Iter, msg.From, es)
-				}
-				t.mu.Unlock()
-				t.cond.Broadcast()
 			case transport.SyncBatchMsg:
 				// One coalesced frame, several iterations' flushes: deposits
-				// are keyed by (id, iteration), so the tables unpack exactly
-				// like the per-iteration frames they replace.
+				// are keyed by (id, iteration), so each table unpacks on its
+				// own.
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
 					for id, es := range f.Entries {

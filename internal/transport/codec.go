@@ -50,7 +50,8 @@ type (
 	}
 
 	// SyncMsg is one batched delayed-sync flush: one sender's gradient
-	// contributions for one iteration, grouped per owned id. With F16 set
+	// contributions for one iteration, grouped per owned id. It travels
+	// only as an element of a SyncBatchMsg. With F16 set
 	// (-sync-compress-grad) the gradients cross the wire as binary16; as
 	// with quantized replicas, the sender must have rounded the values
 	// through f16 first — the lossy step happens at the sender (where the
@@ -113,7 +114,9 @@ type (
 // Payload type tags (first byte of an encoded payload).
 const (
 	tagReplica byte = 1 + iota
-	tagSync
+	// Tag 2 is retired (a bare SyncMsg frame; flushes travel in a
+	// SyncBatchMsg) and stays unused so the tags after it keep their values.
+	_
 	tagPlan
 	tagColl
 	tagRaw
@@ -149,9 +152,6 @@ func appendPayload(b []byte, p any) []byte {
 				b = putF32s(b, m.Rows[id])
 			}
 		}
-	case SyncMsg:
-		b = append(b, tagSync)
-		b = putSyncBody(b, m)
 	case SyncBatchMsg:
 		b = append(b, tagSyncBatch)
 		b = putU32(b, uint32(len(m.Flushes)))
@@ -233,8 +233,6 @@ func DecodePayload(b []byte) (any, error) {
 			m.Rows[id] = row
 		}
 		out = m
-	case tagSync:
-		out = r.sync()
 	case tagSyncBatch:
 		n := r.count(12)
 		m := SyncBatchMsg{Flushes: make([]SyncMsg, 0, n)}
@@ -277,8 +275,8 @@ func DecodePayload(b []byte) (any, error) {
 	return out, nil
 }
 
-// putSyncBody writes one iteration's flush (the SyncMsg body, shared by the
-// single-flush and coalesced encodings).
+// putSyncBody writes one iteration's flush: one SyncMsg element of a
+// SyncBatchMsg.
 func putSyncBody(b []byte, m SyncMsg) []byte {
 	b = putU64(b, uint64(m.Iter))
 	if m.F16 {

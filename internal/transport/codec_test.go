@@ -51,10 +51,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			4: QuantizeF16([]float32{1, -0.5, 3.25}),
 			9: QuantizeF16([]float32{0.1, 6.5e4, -2e-5}),
 		}},
-		SyncMsg{Iter: 3, Entries: map[uint64][]Contrib{
-			5:  {{Example: 2, Grad: []float32{0.1, -0.2}}, {Example: 7, Grad: []float32{1, 2}}},
-			11: {{Example: 0, Grad: []float32{-5, 5}}},
-		}},
 		SyncBatchMsg{Flushes: []SyncMsg{
 			{Iter: 4, Entries: map[uint64][]Contrib{
 				2: {{Example: 1, Grad: []float32{0.5, 0.25}}},

@@ -82,19 +82,15 @@ func (t *ShardedStore) ReadFetch(ids []uint64, pol ReadPolicy) ([][]float32, err
 	return out, nil
 }
 
-// readFetchOnce runs one read pass under the routing install barrier. A
-// stale-routing fence outranks a replica failure: the failure may be an
-// artifact of routing by the wrong table, so the caller adopts and
-// reissues before believing it.
+// readFetchOnce runs one read pass under the routing install barrier,
+// grouping ids by read ring exactly like fetchOnce. A stale-routing fence
+// outranks a replica failure: the failure may be an artifact of routing by
+// the wrong table, so the caller adopts and reissues before believing it.
 func (t *ShardedStore) readFetchOnce(sc *shardScratch, ids []uint64, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if !rt.Settled() {
-		return t.readResharding(rt, ids, out, pol)
-	}
-	S := rt.NewS
-	pos, bounds := sc.group.GroupByOwner(ids, S)
+	pos, bounds := sc.groupReads(rt, ids)
 	var (
 		stale    *StaleRoutingError
 		firstErr error
@@ -107,16 +103,16 @@ func (t *ShardedStore) readFetchOnce(sc *shardScratch, ids []uint64, out [][]flo
 			firstErr = err
 		}
 	}
-	if t.serialScatter(bounds, S) {
-		for part := 0; part < S; part++ {
-			if bounds[part] != bounds[part+1] {
-				record(t.readPartition(sc, part, S, ids, pos, bounds, out, pol))
+	if t.serialScatter(bounds) {
+		for key := 0; key+1 < len(bounds); key++ {
+			if bounds[key] != bounds[key+1] {
+				record(t.readPartition(sc, rt, key, ids, pos, bounds, out, pol))
 			}
 		}
 	} else {
 		var mu sync.Mutex
-		t.forEachPartition(bounds, S, func(part int) {
-			se, err := t.readPartition(sc, part, S, ids, pos, bounds, out, pol)
+		t.forEachPartition(bounds, func(key int) int { base, _ := rt.readRing(key); return base }, func(key int) {
+			se, err := t.readPartition(sc, rt, key, ids, pos, bounds, out, pol)
 			mu.Lock()
 			record(se, err)
 			mu.Unlock()
@@ -128,38 +124,17 @@ func (t *ShardedStore) readFetchOnce(sc *shardScratch, ids []uint64, out [][]flo
 	return nil, firstErr
 }
 
-// readResharding serves a read while a reshard is in flight: ids group by
-// their current read ring (old-space until a partition's reads cut over),
-// exactly like fetchResharding. Serial and allocating; the settled path is
-// untouched.
-func (t *ShardedStore) readResharding(rt *RoutingTable, ids []uint64, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
-	for rg, idxs := range groupByRing(rt, ids) {
-		sub := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ids[i]
-		}
-		rows, se, err := t.readRingSub(rg.base, rg.width, sub, pol)
-		if se != nil || err != nil {
-			return se, err
-		}
-		for j, i := range idxs {
-			out[i] = rows[j]
-		}
-		PutRowSlice(rows)
-	}
-	return nil, nil
-}
-
-// readPartition issues one partition's read sub-batch down its replica
-// ring and gathers the rows into the request-order result.
-func (t *ShardedStore) readPartition(sc *shardScratch, part, S int, ids []uint64, pos, bounds []int, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub := sc.sub[part][:0]
+// readPartition issues one read ring's sub-batch down the ring and gathers
+// the rows into the request-order result.
+func (t *ShardedStore) readPartition(sc *shardScratch, rt *RoutingTable, key int, ids []uint64, pos, bounds []int, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
+	run := pos[bounds[key]:bounds[key+1]]
+	sub := sc.sub[key][:0]
 	for _, p := range run {
 		sub = append(sub, ids[p])
 	}
-	sc.sub[part] = sub
-	rows, se, err := t.readRingSub(part, S, sub, pol)
+	sc.sub[key] = sub
+	base, width := rt.readRing(key)
+	rows, se, err := t.readRingSub(base, width, sub, pol)
 	if se != nil || err != nil {
 		return se, err
 	}

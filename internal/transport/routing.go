@@ -85,18 +85,53 @@ func (rt *RoutingTable) MaxServer() int {
 	return rt.NewS
 }
 
-// readRing returns the replica ring (base, width) currently serving reads
-// for id: the new-space ring once id's new partition cut over, the
-// old-space ring otherwise.
-func (rt *RoutingTable) readRing(id uint64) (base, width int) {
-	if rt.Settled() {
-		return int(id % uint64(rt.NewS)), rt.NewS
+// readKey names the replica ring id's reads route to as a dense key in
+// [0, readKeys()): new-space ring pn is key pn — the only rings a settled
+// table has, so there the key is the owner id % S — and old-space ring q
+// (pending and dual partitions read old) is key NewS+q. readRing inverts it.
+func (rt *RoutingTable) readKey(id uint64) int32 {
+	pn := id % uint64(rt.NewS)
+	if rt.Settled() || rt.State[pn] == PartMoved {
+		return int32(pn)
 	}
-	if pn := int(id % uint64(rt.NewS)); rt.State[pn] == PartMoved {
-		return pn, rt.NewS
-	}
-	return int(id % uint64(rt.OldS)), rt.OldS
+	return int32(uint64(rt.NewS) + id%uint64(rt.OldS))
 }
+
+// readKeys is the size of the read key space.
+func (rt *RoutingTable) readKeys() int {
+	if rt.Settled() {
+		return rt.NewS
+	}
+	return rt.NewS + rt.OldS
+}
+
+// readRing returns the replica ring (base, width) read key k names.
+func (rt *RoutingTable) readRing(k int) (base, width int) {
+	if k < rt.NewS {
+		return k, rt.NewS
+	}
+	return k - rt.NewS, rt.OldS
+}
+
+// writeKeys is the size of the write key space, lcm(OldS, NewS). Both widths
+// divide it, so the write key id % writeKeys() fixes id's old-space and
+// new-space partitions, and distinct (old, new) pairs get distinct keys:
+// grouping by the key is grouping by the pair. A settled table's write key
+// is the owner id % S.
+func (rt *RoutingTable) writeKeys() int {
+	a, b := rt.OldS, rt.NewS
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return rt.OldS / a * rt.NewS
+}
+
+// writeParts returns write key k's old-space and new-space partitions.
+func (rt *RoutingTable) writeParts(k int) (q, pn int) { return k % rt.OldS, k % rt.NewS }
+
+// dualWrite reports whether writes to new-space partition pn also fan to its
+// new ring: the dual-write window is open (PartDual) or cut over (PartMoved).
+func (rt *RoutingTable) dualWrite(pn int) bool { return !rt.Settled() && rt.State[pn] != PartPending }
 
 // validate rejects structurally corrupt tables (a wire decode gone wrong).
 func (rt *RoutingTable) validate() error {
@@ -141,26 +176,31 @@ func encodeRouting(b []byte, rt *RoutingTable) []byte {
 	return b
 }
 
-// decodeRouting parses one encoded routing table.
+// decodeRouting parses one encoded routing table. The bytes come off a
+// socket, so every count is bounded by the bytes present before it is used,
+// and the buffer must hold exactly one table: servers keep the encoded form
+// and hand it back verbatim in fence rejections.
 func decodeRouting(b []byte) (*RoutingTable, error) {
 	r := &wireReader{b: b}
 	rt := &RoutingTable{Epoch: r.u64(), OldS: int(r.u32()), NewS: int(r.u32())}
 	settled := r.u8()
 	if r.err == nil && settled == 0 {
-		if rt.NewS >= 1 && rt.NewS <= maxFrame {
-			st := r.take(rt.NewS, 1)
-			if r.err == nil {
-				rt.State = make([]PartState, rt.NewS)
-				for i, v := range st {
-					rt.State[i] = PartState(v)
-				}
-			}
-		} else {
-			return nil, fmt.Errorf("transport: routing table target width %d", rt.NewS)
+		if rt.NewS < 1 || rt.NewS > len(r.b) {
+			return nil, fmt.Errorf("transport: routing table target width %d with %d state bytes", rt.NewS, len(r.b))
+		}
+		st := r.take(rt.NewS, 1)
+		rt.State = make([]PartState, rt.NewS)
+		for i, v := range st {
+			rt.State[i] = PartState(v)
 		}
 	}
-	if r.err != nil {
+	switch {
+	case r.err != nil:
 		return nil, fmt.Errorf("transport: truncated routing table (%d bytes)", len(b))
+	case settled > 1:
+		return nil, fmt.Errorf("transport: routing table settled flag %d", settled)
+	case len(r.b) != 0:
+		return nil, fmt.Errorf("transport: %d trailing bytes after routing table", len(r.b))
 	}
 	if err := rt.validate(); err != nil {
 		return nil, err

@@ -410,14 +410,47 @@ func (t *ShardedStore) allLiveIn(w int) bool {
 	return true
 }
 
-// shardScratch is one concurrent caller's reusable scatter state.
+// shardScratch is one concurrent caller's reusable scatter state: the
+// grouping arrays plus one sub-batch buffer per routing key.
 type shardScratch struct {
 	group   core.GroupScratch
+	keys    []int32
 	sub     [][]uint64
 	subRows [][][]float32
 }
 
-// getScratch pops (or creates) a scatter scratch sized for this tier.
+// groupReads groups ids by the replica ring their reads route to under rt
+// (RoutingTable.readKey).
+func (sc *shardScratch) groupReads(rt *RoutingTable, ids []uint64) (pos, bounds []int) {
+	if cap(sc.keys) < len(ids) {
+		sc.keys = make([]int32, len(ids))
+	}
+	keys := sc.keys[:len(ids)]
+	for i, id := range ids {
+		keys[i] = rt.readKey(id)
+	}
+	n := rt.readKeys()
+	sc.fit(n)
+	return sc.group.GroupByKey(keys, n)
+}
+
+// groupWrites groups ids by their (old, new) partition pair under rt
+// (RoutingTable.writeKeys).
+func (sc *shardScratch) groupWrites(rt *RoutingTable, ids []uint64) (pos, bounds []int) {
+	n := rt.writeKeys()
+	sc.fit(n)
+	return sc.group.GroupByOwner(ids, n)
+}
+
+// fit grows the per-key sub-batch buffers to n keys.
+func (sc *shardScratch) fit(n int) {
+	if len(sc.sub) < n {
+		sc.sub = append(sc.sub, make([][]uint64, n-len(sc.sub))...)
+		sc.subRows = append(sc.subRows, make([][][]float32, n-len(sc.subRows))...)
+	}
+}
+
+// getScratch pops (or creates) a scatter scratch.
 func (t *ShardedStore) getScratch() *shardScratch {
 	t.scratchMu.Lock()
 	defer t.scratchMu.Unlock()
@@ -427,10 +460,7 @@ func (t *ShardedStore) getScratch() *shardScratch {
 		t.scratch = t.scratch[:n-1]
 		return sc
 	}
-	return &shardScratch{
-		sub:     make([][]uint64, t.capacity),
-		subRows: make([][][]float32, t.capacity),
-	}
+	return new(shardScratch)
 }
 
 // putScratch returns a scratch to the pool. Fetch/Write call it via defer,
@@ -748,53 +778,54 @@ func (t *ShardedStore) lost(e *TierError) {
 
 // serialScatter reports whether a scatter over bounds should run inline on
 // the calling goroutine: instant (in-process) children never block on a
-// link, so there is nothing to overlap, and a single active partition has no
-// fan-out to do. Fetch/Write check this *before* building the per-partition
+// link, so there is nothing to overlap, and a single active routing key has
+// no fan-out to do. Fetch/Write check this *before* building the per-key
 // closure forEachPartition needs — the closure escapes into goroutines and
 // would heap-allocate once per call, the exact per-batch cost the pooled
 // scatter exists to avoid on the hot in-process path.
-func (t *ShardedStore) serialScatter(bounds []int, width int) bool {
+func (t *ShardedStore) serialScatter(bounds []int) bool {
 	if t.instantChildren {
 		return true
 	}
 	active := 0
-	for s := 0; s < width; s++ {
-		if bounds[s] != bounds[s+1] {
+	for k := 0; k+1 < len(bounds); k++ {
+		if bounds[k] != bounds[k+1] {
 			active++
 		}
 	}
 	return active <= 1
 }
 
-// forEachPartition runs fn for every partition with a non-empty run in
+// forEachPartition runs fn for every routing key with a non-empty run in
 // bounds, concurrently. Sub-batches wait on their server's link, not on
 // CPU, so overlapping them is what makes an S-server tier S links wide
 // instead of one link S times as long (each backend is its own NIC in the
 // paper's trainer-node/server-node topology); serial scatters take the
 // inline loops in Fetch/Write instead (see serialScatter). A panic in a
-// child RPC is wrapped in a ShardPanic — originating partition plus the
-// goroutine's stack, captured at recover time — and re-raised on the
-// calling goroutine once every in-flight sub-batch finishes, so the
-// caller's defers (scratch return, result-buffer recycling) still run and
-// the crash stays attributable to a server.
-func (t *ShardedStore) forEachPartition(bounds []int, width int, fn func(part int)) {
+// child RPC is wrapped in a ShardPanic — the key's partition (part maps a
+// key to it; its primary server) plus the goroutine's stack, captured at
+// recover time — and re-raised on the calling goroutine once every
+// in-flight sub-batch finishes, so the caller's defers (scratch return,
+// result-buffer recycling) still run and the crash stays attributable to a
+// server.
+func (t *ShardedStore) forEachPartition(bounds []int, part func(key int) int, fn func(key int)) {
 	var (
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicked *ShardPanic
 	)
-	for part := 0; part < width; part++ {
-		if bounds[part] == bounds[part+1] {
+	for key := 0; key+1 < len(bounds); key++ {
+		if bounds[key] == bounds[key+1] {
 			continue
 		}
 		wg.Add(1)
-		go func(part int) {
+		go func(key int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					sp, ok := p.(*ShardPanic)
 					if !ok {
-						sp = &ShardPanic{Server: part, Value: p, Stack: debug.Stack()}
+						sp = &ShardPanic{Server: part(key), Value: p, Stack: debug.Stack()}
 					}
 					panicMu.Lock()
 					if panicked == nil {
@@ -803,8 +834,8 @@ func (t *ShardedStore) forEachPartition(bounds []int, width int, fn func(part in
 					panicMu.Unlock()
 				}
 			}()
-			fn(part)
-		}(part)
+			fn(key)
+		}(key)
 	}
 	wg.Wait()
 	if panicked != nil {
@@ -854,26 +885,19 @@ func (t *ShardedStore) Fetch(ids []uint64) [][]float32 {
 
 // fetchOnce runs one fetch pass under the routing install barrier,
 // reporting the stale-routing fence that aborted it, if any. The deferred
-// unlock keeps a tier-lost panic from leaking the barrier's read side.
+// unlock keeps a tier-lost panic from leaking the barrier's read side. Ids
+// group by the replica ring their reads route to under the installed table
+// — old-space for pending and dual partitions, new-space once a partition's
+// reads cut over; in a settled table, the owner id % S.
 func (t *ShardedStore) fetchOnce(sc *shardScratch, ids []uint64, out [][]float32) *StaleRoutingError {
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if rt.Settled() {
-		return t.fetchSettled(sc, rt.NewS, ids, out)
-	}
-	return t.fetchResharding(rt, ids, out)
-}
-
-// fetchSettled is the scatter over a settled width-S routing — the
-// allocation-free hot path every pre-reshard (and post-reshard) batch
-// takes.
-func (t *ShardedStore) fetchSettled(sc *shardScratch, width int, ids []uint64, out [][]float32) *StaleRoutingError {
-	pos, bounds := sc.group.GroupByOwner(ids, width)
-	if t.serialScatter(bounds, width) {
-		for part := 0; part < width; part++ {
-			if bounds[part] != bounds[part+1] {
-				if se := t.fetchPartition(sc, part, width, ids, pos, bounds, out); se != nil {
+	pos, bounds := sc.groupReads(rt, ids)
+	if t.serialScatter(bounds) {
+		for key := 0; key+1 < len(bounds); key++ {
+			if bounds[key] != bounds[key+1] {
+				if se := t.fetchPartition(sc, rt, key, ids, pos, bounds, out); se != nil {
 					return se
 				}
 			}
@@ -884,8 +908,8 @@ func (t *ShardedStore) fetchSettled(sc *shardScratch, width int, ids []uint64, o
 		staleMu sync.Mutex
 		stale   *StaleRoutingError
 	)
-	t.forEachPartition(bounds, width, func(part int) {
-		if se := t.fetchPartition(sc, part, width, ids, pos, bounds, out); se != nil {
+	t.forEachPartition(bounds, func(key int) int { base, _ := rt.readRing(key); return base }, func(key int) {
+		if se := t.fetchPartition(sc, rt, key, ids, pos, bounds, out); se != nil {
 			staleMu.Lock()
 			if stale == nil {
 				stale = se
@@ -896,75 +920,23 @@ func (t *ShardedStore) fetchSettled(sc *shardScratch, width int, ids []uint64, o
 	return stale
 }
 
-// fetchResharding serves a fetch while a reshard is in flight: ids group by
-// their *current read ring* — old-space for pending/dual partitions,
-// new-space once a partition's reads cut over — instead of by a single
-// width. Runs serially and allocates; mid-reshard batches are the rare
-// case, and the settled path is untouched.
-func (t *ShardedStore) fetchResharding(rt *RoutingTable, ids []uint64, out [][]float32) *StaleRoutingError {
-	for rg, idxs := range groupByRing(rt, ids) {
-		sub := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ids[i]
-		}
-		for {
-			s := t.routeIn(rg.base, rg.width)
-			if s < 0 {
-				t.lost(&TierError{Op: "fetch", Partition: rg.base, Server: (rg.base + t.replicate - 1) % rg.width, Replicate: t.replicate})
-			}
-			rows, err := t.tryFetch(s, sub)
-			if se := asStaleRouting(err); se != nil {
-				se.Server = s
-				return se
-			}
-			if err != nil {
-				continue // s is dead now; route to the next live replica
-			}
-			if s != rg.base {
-				t.failovers.Add(1)
-			}
-			for j, i := range idxs {
-				out[i] = rows[j]
-			}
-			PutRowSlice(rows)
-			break
-		}
-	}
-	return nil
-}
-
-// ring identifies one replica ring: a base server in a width-wide partition
-// space.
-type ring struct{ base, width int }
-
-// groupByRing buckets ids by the replica ring their reads currently route
-// to under rt.
-func groupByRing(rt *RoutingTable, ids []uint64) map[ring][]int {
-	groups := make(map[ring][]int)
-	for i, id := range ids {
-		base, width := rt.readRing(id)
-		key := ring{base, width}
-		groups[key] = append(groups[key], i)
-	}
-	return groups
-}
-
-// fetchPartition issues one partition's fetch sub-batch — to its primary
-// server, failing over along the replica ring as servers die — and gathers
+// fetchPartition issues one read ring's fetch sub-batch — to the ring's
+// primary server, failing over along the ring as servers die — and gathers
 // the rows into the request-order result. A stale-routing rejection aborts
 // the sub-batch for the caller to re-route; it is a fence, not a failure,
 // so it never counts against the server.
-func (t *ShardedStore) fetchPartition(sc *shardScratch, part, width int, ids []uint64, pos, bounds []int, out [][]float32) *StaleRoutingError {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub := sc.sub[part][:0]
+func (t *ShardedStore) fetchPartition(sc *shardScratch, rt *RoutingTable, key int, ids []uint64, pos, bounds []int, out [][]float32) *StaleRoutingError {
+	run := pos[bounds[key]:bounds[key+1]]
+	sub := sc.sub[key][:0]
 	for _, p := range run {
 		sub = append(sub, ids[p])
 	}
-	sc.sub[part] = sub
+	sc.sub[key] = sub
+	base, width := rt.readRing(key)
 	for {
-		s := t.routeIn(part, width)
+		s := t.routeIn(base, width)
 		if s < 0 {
-			t.lost(&TierError{Op: "fetch", Partition: part, Server: (part + t.replicate - 1) % width, Replicate: t.replicate})
+			t.lost(&TierError{Op: "fetch", Partition: base, Server: (base + t.replicate - 1) % width, Replicate: t.replicate})
 		}
 		rows, err := t.tryFetch(s, sub)
 		if se := asStaleRouting(err); se != nil {
@@ -974,7 +946,7 @@ func (t *ShardedStore) fetchPartition(sc *shardScratch, part, width int, ids []u
 		if err != nil {
 			continue // s is dead now; route to the next live replica
 		}
-		if s != part {
+		if s != base {
 			t.failovers.Add(1)
 		}
 		for i, p := range run {
@@ -1063,25 +1035,17 @@ func (t *ShardedStore) Write(ids []uint64, rows [][]float32) {
 }
 
 // writeOnce runs one write pass under the routing install barrier (see
-// fetchOnce).
+// fetchOnce). Ids group by their (old partition, new partition) pair under
+// the installed table; in a settled table, by the owner id % S.
 func (t *ShardedStore) writeOnce(sc *shardScratch, ids []uint64, rows [][]float32) *StaleRoutingError {
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if rt.Settled() {
-		return t.writeSettled(sc, rt.NewS, ids, rows)
-	}
-	return t.writeResharding(rt, ids, rows)
-}
-
-// writeSettled is the scatter over a settled width-S routing — the
-// allocation-free write hot path.
-func (t *ShardedStore) writeSettled(sc *shardScratch, width int, ids []uint64, rows [][]float32) *StaleRoutingError {
-	pos, bounds := sc.group.GroupByOwner(ids, width)
-	if t.serialScatter(bounds, width) {
-		for part := 0; part < width; part++ {
-			if bounds[part] != bounds[part+1] {
-				if se := t.writePartition(sc, part, width, ids, pos, bounds, rows); se != nil {
+	pos, bounds := sc.groupWrites(rt, ids)
+	if t.serialScatter(bounds) {
+		for key := 0; key+1 < len(bounds); key++ {
+			if bounds[key] != bounds[key+1] {
+				if se := t.writePartition(sc, rt, key, ids, pos, bounds, rows); se != nil {
 					return se
 				}
 			}
@@ -1092,8 +1056,8 @@ func (t *ShardedStore) writeSettled(sc *shardScratch, width int, ids []uint64, r
 		staleMu sync.Mutex
 		stale   *StaleRoutingError
 	)
-	t.forEachPartition(bounds, width, func(part int) {
-		if se := t.writePartition(sc, part, width, ids, pos, bounds, rows); se != nil {
+	t.forEachPartition(bounds, func(key int) int { q, _ := rt.writeParts(key); return q }, func(key int) {
+		if se := t.writePartition(sc, rt, key, ids, pos, bounds, rows); se != nil {
 			staleMu.Lock()
 			if stale == nil {
 				stale = se
@@ -1104,61 +1068,49 @@ func (t *ShardedStore) writeSettled(sc *shardScratch, width int, ids []uint64, r
 	return stale
 }
 
-// writeResharding fans a write out while a reshard is in flight. Ids group
-// by (old partition, new partition) pair: every group's old-space owner
-// ring takes the write exactly as a settled write would (it remains the
-// authoritative copy until the tier settles), and once the new partition's
-// dual-write window is open the group is also written to the new-space
-// ring members that aren't already covered by the old ring. Serial and
-// allocating, like fetchResharding.
-func (t *ShardedStore) writeResharding(rt *RoutingTable, ids []uint64, rows [][]float32) *StaleRoutingError {
-	groups := make(map[int][]int)
-	for i, id := range ids {
-		q := int(id % uint64(rt.OldS))
-		pn := int(id % uint64(rt.NewS))
-		groups[q*rt.NewS+pn] = append(groups[q*rt.NewS+pn], i)
+// writePartition issues one (old partition q, new partition pn) write
+// sub-batch to every live server of q's old-space replica ring — the
+// authoritative copy until the tier settles. Dead replicas are skipped
+// (their state is recovered from the survivors at merge time); a resyncing
+// replica gets the write *forwarded* — applied so no update is lost during
+// the anti-entropy window, but not counted toward the ack quorum; a failing
+// live replica is declared dead and does not fail the write as long as at
+// least one live replica acked. The partition's resync lock is held shared
+// for the whole fan-out (and released via defer, so the lost() panic path
+// cannot leak it): a transfer round's export→apply→verify cannot interleave
+// with a half-applied write.
+//
+// Once pn's dual-write window is open the sub-batch also goes, best-effort,
+// to each live new-ring member not already in the old ring. Best-effort is
+// enough for the dual leg: a member that misses the write (marked dead
+// here) is either re-streamed or abandoned by the coordinator, and the
+// migration verify rounds compare digests before any read routes to it.
+func (t *ShardedStore) writePartition(sc *shardScratch, rt *RoutingTable, key int, ids []uint64, pos, bounds []int, rows [][]float32) *StaleRoutingError {
+	run := pos[bounds[key]:bounds[key+1]]
+	sub, subRows := sc.sub[key][:0], sc.subRows[key][:0]
+	for _, p := range run {
+		sub = append(sub, ids[p])
+		subRows = append(subRows, rows[p])
 	}
-	for key, idxs := range groups {
-		q, pn := key/rt.NewS, key%rt.NewS
-		sub := make([]uint64, len(idxs))
-		subRows := make([][]float32, len(idxs))
-		for j, i := range idxs {
-			sub[j], subRows[j] = ids[i], rows[i]
-		}
-		if se := t.writeGroupResharding(rt, q, pn, sub, subRows); se != nil {
-			return se
-		}
-	}
-	return nil
-}
-
-// writeGroupResharding writes one (old partition q, new partition pn) group:
-// the old ring under q's resync lock with full ack accounting, then — when
-// pn's dual-write window is open — a best-effort single-attempt write to
-// each new-ring member not already in the old ring. Best-effort is enough
-// for the dual leg: a member that misses the write (marked dead here) is
-// either re-streamed or abandoned by the coordinator, and the migration
-// verify rounds compare digests before any read ever routes to it.
-func (t *ShardedStore) writeGroupResharding(rt *RoutingTable, q, pn int, sub []uint64, subRows [][]float32) *StaleRoutingError {
-	oldDepth, newDepth := t.replicate, t.replicate
-	if oldDepth > rt.OldS {
-		oldDepth = rt.OldS
-	}
-	if newDepth > rt.NewS {
-		newDepth = rt.NewS
-	}
+	sc.sub[key], sc.subRows[key] = sub, subRows
+	q, pn := rt.writeParts(key)
 	lk := &t.partLocks[q]
 	lk.RLock()
 	defer lk.RUnlock()
+	// Drop the row references so the pooled scratch doesn't pin the
+	// caller's buffers until the next write; deferred so the stale-abort
+	// returns clear too.
+	defer clear(subRows)
+	depth := min(t.replicate, rt.OldS)
 	acked, lastSrv := 0, q
 	var lastErr error
-	for k := 0; k < oldDepth; k++ {
+	for k := 0; k < depth; k++ {
 		s := (q + k) % rt.OldS
 		switch t.state[s].Load() {
 		case srvDead:
 			lastSrv = s
 		case srvResync:
-			if se := t.forwardWrite(s, sub, subRows); se != nil {
+			if se := t.tryWriteOnce(s, sub, subRows); se != nil {
 				return se
 			}
 		default: // srvLive
@@ -1176,85 +1128,18 @@ func (t *ShardedStore) writeGroupResharding(rt *RoutingTable, q, pn int, sub []u
 	if acked == 0 {
 		t.lost(&TierError{Op: "write", Partition: q, Server: lastSrv, Replicate: t.replicate, Cause: lastErr})
 	}
-	if rt.State[pn] == PartPending {
+	if !rt.dualWrite(pn) {
 		return nil
 	}
-	for k := 0; k < newDepth; k++ {
+	for k := 0; k < min(t.replicate, rt.NewS); k++ {
 		s := (pn + k) % rt.NewS
-		inOld := false
-		for j := 0; j < oldDepth; j++ {
-			if s == (q+j)%rt.OldS {
-				inOld = true
-				break
-			}
-		}
+		inOld := s < rt.OldS && (s-q+rt.OldS)%rt.OldS < depth
 		if inOld || t.state[s].Load() != srvLive {
 			continue
 		}
-		if err := t.tryWriteOnce(s, sub, subRows); err != nil {
-			if se := asStaleRouting(err); se != nil {
-				se.Server = s
-				return se
-			}
+		if se := t.tryWriteOnce(s, sub, subRows); se != nil {
+			return se
 		}
-	}
-	return nil
-}
-
-// writePartition issues one partition's write sub-batch to every live
-// server of its replica set. Dead replicas are skipped (their state is
-// recovered from the survivors at merge time); a resyncing replica gets the
-// write *forwarded* — applied so no update is lost during the anti-entropy
-// window, but not counted toward the ack quorum; a failing live replica is
-// declared dead and does not fail the write as long as at least one live
-// replica acked. The partition's resync lock is held shared for the whole
-// fan-out (and released via defer, so the lost() panic path cannot leak
-// it): a transfer round's export→apply→verify cannot interleave with a
-// half-applied write.
-func (t *ShardedStore) writePartition(sc *shardScratch, part, width int, ids []uint64, pos, bounds []int, rows [][]float32) *StaleRoutingError {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub, subRows := sc.sub[part][:0], sc.subRows[part][:0]
-	for _, p := range run {
-		sub = append(sub, ids[p])
-		subRows = append(subRows, rows[p])
-	}
-	sc.sub[part], sc.subRows[part] = sub, subRows
-	lk := &t.partLocks[part]
-	lk.RLock()
-	defer lk.RUnlock()
-	// Drop the row references so the pooled scratch doesn't pin the
-	// caller's buffers until the next write; deferred so the stale-abort
-	// returns clear too.
-	defer clear(subRows)
-	depth := t.replicate
-	if depth > width {
-		depth = width
-	}
-	acked, lastSrv := 0, part
-	var lastErr error
-	for k := 0; k < depth; k++ {
-		s := (part + k) % width
-		switch t.state[s].Load() {
-		case srvDead:
-			lastSrv = s
-		case srvResync:
-			if se := t.forwardWrite(s, sub, subRows); se != nil {
-				return se
-			}
-		default: // srvLive
-			if err := t.tryWrite(s, sub, subRows); err != nil {
-				if se := asStaleRouting(err); se != nil {
-					se.Server = s
-					return se
-				}
-				lastSrv, lastErr = s, err
-				continue
-			}
-			acked++
-		}
-	}
-	if acked == 0 {
-		t.lost(&TierError{Op: "write", Partition: part, Server: lastSrv, Replicate: t.replicate, Cause: lastErr})
 	}
 	return nil
 }
@@ -1287,12 +1172,15 @@ func (t *ShardedStore) tryWrite(s int, sub []uint64, subRows [][]float32) error 
 	return lastErr
 }
 
-// tryWriteOnce is the single-attempt write: a hard failure condemns the
-// server (fenced by generation) without retrying, a stale-routing fence is
-// passed through untouched. The dual-write leg and write forwarding use it
-// — both are best-effort lanes repaired by verify rounds, so burning the
-// retry budget on them would only stall the authoritative leg.
-func (t *ShardedStore) tryWriteOnce(s int, sub []uint64, subRows [][]float32) error {
+// tryWriteOnce applies one write sub-batch to a server outside the ack
+// quorum: a resyncing server (the write-forwarding half of the anti-entropy
+// window) or a new-ring member on the dual-write leg. Both are best-effort
+// lanes repaired by verify rounds, so it makes one attempt: a hard failure
+// condemns the server (fenced by generation) and the write proceeds on the
+// quorum — these writes never count toward it, so they cannot mask a loss
+// of every *verified* replica. A stale-routing fence is returned, attributed
+// to s, for the op to re-route (the server is not condemned for it).
+func (t *ShardedStore) tryWriteOnce(s int, sub []uint64, subRows [][]float32) *StaleRoutingError {
 	g := t.gen[s].Load()
 	f := t.fall(s)
 	if f == nil {
@@ -1300,23 +1188,12 @@ func (t *ShardedStore) tryWriteOnce(s int, sub []uint64, subRows [][]float32) er
 		return nil
 	}
 	err := f.TryWrite(sub, subRows)
-	if err != nil && asStaleRouting(err) == nil {
-		t.markDeadIfGen(s, g, err)
-	}
-	return err
-}
-
-// forwardWrite applies one write sub-batch to a resyncing server — the
-// write-forwarding half of the anti-entropy window. One attempt, no retry
-// loop: a rejoiner that cannot absorb the live write stream goes back to
-// dead (fenced by its generation) and the write proceeds on the survivors;
-// forwarded writes never count toward the ack quorum, so they cannot mask
-// a loss of every *verified* replica. A stale-routing fence is returned for
-// the op to re-route (the rejoiner is not condemned for it).
-func (t *ShardedStore) forwardWrite(s int, sub []uint64, subRows [][]float32) *StaleRoutingError {
-	if se := asStaleRouting(t.tryWriteOnce(s, sub, subRows)); se != nil {
+	if se := asStaleRouting(err); se != nil {
 		se.Server = s
 		return se
+	}
+	if err != nil {
+		t.markDeadIfGen(s, g, err)
 	}
 	return nil
 }
