@@ -16,7 +16,9 @@ import "fmt"
 // multiply-adds instead of once per multiply-add, and its inner loop has
 // no branch. Per element it still performs the same `acc += a*b` steps in
 // the same order, so FMA-fusing targets fuse the fold exactly where they
-// fused the row loop.
+// fused the row loop. On amd64 the fold is SSE2 assembly that runs four
+// output elements per instruction, each lane taking those same steps
+// (fold_amd64.s); elsewhere foldGo is the fold.
 
 // Workspace is the scratch the matmul kernels compact their operands into:
 // one output row's term list and, for MatMulBT, a transposed copy of b. It
@@ -141,9 +143,11 @@ func MatMulAT(dst, a, b *Matrix, ws *Workspace) {
 	}
 }
 
-// fold sets d to 0 + coef[0]·b[off[0]:][:len(d)] + coef[1]·… with the terms
-// added in list order, four per pass over d.
-func fold(d, coef []float32, off []int, b []float32) {
+// foldGo sets d to 0 + coef[0]·b[off[0]:][:len(d)] + coef[1]·… with the
+// terms added in list order, four per pass over d. It is the fold on
+// architectures without an assembly one, and built on all of them so the
+// tests can check it everywhere.
+func foldGo(d, coef []float32, off []int, b []float32) {
 	for j := range d {
 		d[j] = 0
 	}

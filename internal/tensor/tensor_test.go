@@ -195,6 +195,47 @@ func edgyMatrix(rng *RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// checkVariants runs all three kernels on one random edgy m×k·k×n shape
+// and requires each to match its naive oracle bit for bit. Destinations
+// start out full of garbage, so stale scratch or a missed store shows up.
+func checkVariants(t *testing.T, rng *RNG, ws *Workspace, trial, m, k, n int) {
+	t.Helper()
+	garbage := func(rows, cols int) *Matrix {
+		m := NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = 3.25
+		}
+		return m
+	}
+	check := func(kernel string, got, want *Matrix) {
+		t.Helper()
+		if i, ok := bitsEqual(got, want); !ok {
+			t.Fatalf("trial %d: %s %dx%d (k=%d) differs from the naive kernel at %d: %v (%#x) want %v (%#x)",
+				trial, kernel, got.Rows, got.Cols, k, i, got.Data[i], math.Float32bits(got.Data[i]),
+				want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+	a := edgyMatrix(rng, m, k)
+	b := edgyMatrix(rng, k, n)
+
+	want, got := NewMatrix(m, n), garbage(m, n)
+	naiveMatMul(want, a, b)
+	MatMul(got, a, b, ws)
+	check("MatMul", got, want)
+
+	bt := edgyMatrix(rng, n, k)
+	want, got = NewMatrix(m, n), garbage(m, n)
+	naiveMatMulBT(want, a, bt)
+	MatMulBT(got, a, bt, ws)
+	check("MatMulBT", got, want)
+
+	at := edgyMatrix(rng, k, m)
+	want, got = NewMatrix(m, n), garbage(m, n)
+	naiveMatMulAT(want, at, b)
+	MatMulAT(got, at, b, ws)
+	check("MatMulAT", got, want)
+}
+
 // TestMatMulVariantsAgree requires all three kernels to reproduce the naive
 // oracle bit for bit over random shapes on both sides of the narrow-output
 // path and off the fold width, with signed zeros, infinities, NaNs and
@@ -205,42 +246,9 @@ func edgyMatrix(rng *RNG, rows, cols int) *Matrix {
 func TestMatMulVariantsAgree(t *testing.T) {
 	rng := NewRNG(42)
 	var ws Workspace
-	garbage := func(rows, cols int) *Matrix {
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = 3.25
-		}
-		return m
-	}
-	check := func(trial int, kernel string, got, want *Matrix) {
-		t.Helper()
-		if i, ok := bitsEqual(got, want); !ok {
-			t.Fatalf("trial %d: %s %dx%d differs from the naive kernel at %d: %v (%#x) want %v (%#x)",
-				trial, kernel, got.Rows, got.Cols, i, got.Data[i], math.Float32bits(got.Data[i]),
-				want.Data[i], math.Float32bits(want.Data[i]))
-		}
-	}
 	for trial := 0; trial < 4000; trial++ {
 		m, k, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
-		a := edgyMatrix(rng, m, k)
-		b := edgyMatrix(rng, k, n)
-
-		want, got := NewMatrix(m, n), garbage(m, n)
-		naiveMatMul(want, a, b)
-		MatMul(got, a, b, &ws)
-		check(trial, "MatMul", got, want)
-
-		bt := edgyMatrix(rng, n, k)
-		want, got = NewMatrix(m, n), garbage(m, n)
-		naiveMatMulBT(want, a, bt)
-		MatMulBT(got, a, bt, &ws)
-		check(trial, "MatMulBT", got, want)
-
-		at := edgyMatrix(rng, k, m)
-		want, got = NewMatrix(m, n), garbage(m, n)
-		naiveMatMulAT(want, at, b)
-		MatMulAT(got, at, b, &ws)
-		check(trial, "MatMulAT", got, want)
+		checkVariants(t, rng, &ws, trial, m, k, n)
 	}
 
 	for trial := 0; trial < 20; trial++ {
@@ -261,6 +269,102 @@ func TestMatMulVariantsAgree(t *testing.T) {
 			if !got.AlmostEqual(want, 1e-5) {
 				t.Fatalf("trial %d: naive %s disagrees with the triple loop", trial, c.name)
 			}
+		}
+	}
+}
+
+// TestMatMulWideShapesAgree runs the kernels at real layer widths: rows of
+// 255–259 elements give long vector runs, every element-tail length and
+// rows that start off a 16-byte boundary, and up to 300 terms give many
+// full passes before the term tail.
+func TestMatMulWideShapesAgree(t *testing.T) {
+	rng := NewRNG(43)
+	var ws Workspace
+	trial := 0
+	for _, n := range []int{255, 256, 257, 259} {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 13, 64, 255, 256, 297, 300} {
+			checkVariants(t, rng, &ws, trial, 1+rng.Intn(4), k, n)
+			trial++
+		}
+	}
+}
+
+// foldOracle is fold's definition one element at a time: d[j] starts at 0
+// and adds coef[t]·b[off[t]+j] in list order.
+func foldOracle(d, coef []float32, off []int, b []float32) {
+	for j := range d {
+		var s float32
+		for t, c := range coef {
+			s += c * b[off[t]+j]
+		}
+		d[j] = s
+	}
+}
+
+var foldKernels = []struct {
+	name string
+	fold func(d, coef []float32, off []int, b []float32)
+}{{"foldGo", foldGo}, {"fold", fold}}
+
+// TestFoldKernelsMatchOracle checks the portable fold and the one this
+// architecture builds (on amd64 the SSE2 kernel) directly against the
+// oracle: 0–9 terms cover zero, one and two full passes with every term
+// tail, 0–67 elements cover every vector run and element tail, b rows sit
+// at arbitrary element offsets, and d starts off a 16-byte boundary, full
+// of NaN so an element the kernel fails to zero shows.
+func TestFoldKernelsMatchOracle(t *testing.T) {
+	rng := NewRNG(44)
+	nan := float32(math.NaN())
+	for terms := 0; terms <= 9; terms++ {
+		for n := 0; n <= 67; n++ {
+			coef := edgyMatrix(rng, 1, terms).Data
+			b := edgyMatrix(rng, 1, n+40).Data
+			off := make([]int, terms)
+			for i := range off {
+				off[i] = rng.Intn(len(b) - n + 1)
+			}
+			want := make([]float32, n)
+			foldOracle(want, coef, off, b)
+			for _, k := range foldKernels {
+				buf := make([]float32, n+1)
+				for i := range buf {
+					buf[i] = nan
+				}
+				got := buf[1:]
+				k.fold(got, coef, off, b)
+				if i, ok := bitsEqual(FromSlice(1, n, got), FromSlice(1, n, want)); !ok {
+					t.Fatalf("%s: %d terms, n=%d: element %d is %v (%#x), want %v (%#x)",
+						k.name, terms, n, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestFoldPanicsOutOfRange pins fold's safety: an offset whose row runs
+// outside b, or an offset list shorter than the coefficients, panics before
+// any memory is read.
+func TestFoldPanicsOutOfRange(t *testing.T) {
+	cases := []struct {
+		name string
+		coef []float32
+		off  []int
+	}{
+		{"negative offset", []float32{1}, []int{-1}},
+		{"row past the end", []float32{1, 2}, []int{0, 5}},
+		{"huge offset", []float32{1}, []int{math.MaxInt}},
+		{"short offset list", []float32{1, 2}, []int{0}},
+	}
+	for _, k := range foldKernels {
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", k.name, c.name)
+					}
+				}()
+				k.fold(make([]float32, 4), c.coef, c.off, make([]float32, 8))
+			}()
 		}
 	}
 }

@@ -425,9 +425,14 @@ func (r *wireReader) plan() *core.TrainerPlan {
 		d.NeededNext[id] = true
 	}
 	d.Batch = &data.Batch{Index: int(r.u64())}
+	// Sparse batch slots carry no bytes, so the batch size cannot be
+	// bounded by what is left of the frame. Assign holds one entry per
+	// example and was, so it bounds the allocation.
 	full := r.count(0)
-	if full > 1<<24 { // sparse slots carry no bytes; bound absurd sizes explicitly
-		r.fail()
+	if r.err == nil && full != len(d.Assign) {
+		r.err = fmt.Errorf("transport: plan batch of %d examples carries %d assignments", full, len(d.Assign))
+	}
+	if r.err != nil {
 		return pl
 	}
 	d.Batch.Examples = make([]data.Example, full)

@@ -1,18 +1,20 @@
 package transport
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 )
 
-// TestCodecRoundTrip pins the little-endian codec: every wire payload type
-// decodes back to a deep-equal value, including map fields and the nested
-// plan/decision/batch structure.
-func TestCodecRoundTrip(t *testing.T) {
+// wirePayloads returns one value of every wire payload type, with every
+// encoding variant: f32 and f16 replicas, a coalesced sync batch, a plan,
+// f32 and f64 collectives, a fused collective and a raw payload.
+func wirePayloads() []any {
 	plan := &core.TrainerPlan{
 		Trainer:  1,
 		Prefetch: []uint64{3, 9, 27},
@@ -40,7 +42,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	cases := []any{
+	return []any{
 		ReplicaMsg{Iter: 7, Rows: map[uint64][]float32{
 			12: {1, 2.5, -3},
 			99: {0, -0.125, 42},
@@ -68,7 +70,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			Loss: []float64{0.693147}},
 		RawMsg("hello mesh"),
 	}
-	for _, in := range cases {
+}
+
+// TestCodecRoundTrip pins the little-endian codec: every wire payload type
+// decodes back to a deep-equal value, including map fields and the nested
+// plan/decision/batch structure.
+func TestCodecRoundTrip(t *testing.T) {
+	for _, in := range wirePayloads() {
 		enc := EncodePayload(in)
 		out, err := DecodePayload(enc)
 		if err != nil {
@@ -154,6 +162,43 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodePayload(nil); err == nil {
 		t.Fatal("empty payload decoded without error")
 	}
+}
+
+// TestCodecPlanBatchBoundedByAssign: a plan's batch size is the one count
+// no bytes back (its empty slots carry none), so a frame claiming a huge
+// batch must be refused on the assignment list it carries, before anything
+// is allocated for it. Without the check a 69-byte empty plan whose batch
+// size says 1<<24 decodes cleanly and allocates ~940 MB.
+func TestCodecPlanBatchBoundedByAssign(t *testing.T) {
+	empty := PlanMsg{Plan: &core.TrainerPlan{Dec: &core.Decision{Batch: &data.Batch{}}}}
+	enc := EncodePayload(empty)
+	if _, err := DecodePayload(enc); err != nil {
+		t.Fatalf("empty plan: %v", err)
+	}
+	// The frame ends with the batch size and the count of examples sent.
+	binary.LittleEndian.PutUint32(enc[len(enc)-8:], 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodePayload(enc)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a %d-byte plan claiming a batch of 1<<24 examples decoded without error", len(enc))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a %d-byte plan allocated %d bytes", len(enc), grew)
+	}
+}
+
+// FuzzDecodePayload: bytes off a mesh socket yield a payload or an error,
+// never a panic, whatever they hold. The corpus starts from an encoding of
+// every payload type.
+func FuzzDecodePayload(f *testing.F) {
+	for _, p := range wirePayloads() {
+		f.Add(EncodePayload(p))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, _ = DecodePayload(b)
+	})
 }
 
 // TestF16RoundTrip pins the binary16 conversion: representable values are
