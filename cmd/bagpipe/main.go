@@ -63,7 +63,6 @@ var (
 	engineFl     = flag.String("engine", "lrpp", "training engine: lrpp, pipelined, baseline")
 	partFl       = flag.String("partitioner", "hash", "batch partitioner: hash (contiguous split over hash-partitioned caches), roundrobin, comm-aware")
 	eager        = flag.Bool("eager-sync", false, "lrpp: flush all cross-trainer sync on the critical path instead of delaying it")
-	collFl       = flag.String("collective", "fused", "mesh all-reduce strategy (worker mode): rooted (one frame per dense param), fused (one frame per step), ring (fused frames around the ring), tree (fused frames up/down a log2-P binomial tree); all bit-identical")
 	syncComp     = flag.Bool("sync-compress", false, "lrpp: float16-quantize replica pushes on the mesh (lossy; incompatible with -verify)")
 	syncCompGrad = flag.Bool("sync-compress-grad", false, "lrpp: float16-quantize delayed-sync gradient flushes, carrying the rounding error per (owner,row) as error feedback (lossy; incompatible with -verify)")
 	autoLook     = flag.Bool("auto-lookahead", false, "pick ℒ at startup from measured iteration time, link RTT, and -cache-rows (overrides -lookahead)")
@@ -245,7 +244,6 @@ func main() {
 		PrefetchWorkers:  *workers,
 		Partitioner:      part,
 		SyncEager:        *eager,
-		Collective:       *collFl,
 		SyncCompress:     *syncComp,
 		SyncCompressGrad: *syncCompGrad,
 	}
@@ -963,7 +961,6 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			"-trainers", fmt.Sprint(*trainers),
 			"-partitioner", *partFl,
 			fmt.Sprintf("-eager-sync=%v", *eager),
-			"-collective", *collFl,
 			fmt.Sprintf("-sync-compress=%v", *syncComp),
 			fmt.Sprintf("-sync-compress-grad=%v", *syncCompGrad),
 			fmt.Sprintf("-stats=%v", *statsFl),

@@ -1,17 +1,16 @@
-// Package collective implements the collective-communication primitives
-// recommendation-model training uses: all-reduce for dense gradients and
-// cache synchronization, and all-to-all for partitioned embedding exchange.
+// Package collective implements the all-reduce recommendation-model
+// training uses to combine dense gradients and loss terms across
+// data-parallel ranks.
 //
 // The functional implementation synchronizes in-process trainer goroutines
 // deterministically: each rank deposits its contribution into a per-rank
 // slot and every rank folds the slots in rank order, so results are
 // bit-identical run to run regardless of goroutine scheduling. That
 // rank-ordered fold is the package's contract, not an implementation
-// detail: the Collective interface names it, and every mesh-based reducer
-// strategy multi-process worker runs select from (internal/train's
-// meshColl: rooted per-parameter frames, fused single-frame rounds, or a
-// ring of relayed fused frames over transport.Mesh) reproduces the
-// identical summation order, which is what keeps distributed runs
+// detail: the Collective interface names it, and the mesh-based reducer
+// multi-process workers run (internal/train's meshColl: one fused frame
+// per rank per iteration, folded at rank 0 over transport.Mesh) reproduces
+// the identical summation order, which is what keeps distributed runs
 // bit-identical to single-process ones.
 package collective
 
@@ -27,8 +26,7 @@ import (
 // in rank order starting from zero — the contract that keeps every
 // engine × fabric combination bit-identical. In-process trainer goroutines
 // share a Group; multi-process workers use internal/train's mesh-based
-// reducer, whose rooted, fused, and ring strategies all reproduce the
-// identical summation order.
+// reducer, which reproduces the identical summation order.
 type Collective interface {
 	// FusedAllReduce sums segs[i] element-wise across all ranks into every
 	// rank's segs[i] in place, and likewise loss. All ranks must pass
@@ -38,7 +36,7 @@ type Collective interface {
 
 // AddF32 folds src into dst element-wise (dst[i] += src[i]). This is THE
 // fold kernel of every rank-ordered reduction in the system — collective
-// rounds, mesh reducer strategies, delayed-sync gradient merges — written
+// rounds, the mesh reducer, delayed-sync gradient merges — written
 // so the compiler eliminates the bounds checks and can vectorize: one
 // length assertion up front, then a 4-way unrolled body over full slices.
 // Element-wise independence means using it preserves any caller's
@@ -82,7 +80,6 @@ type Group struct {
 	departed int
 	complete bool
 	gen      uint64
-	a2a      [][][]float32
 
 	// fused holds each rank's persistent snapshot buffers for
 	// FusedAllReduce, reused round over round. Safe without extra locking:
@@ -178,7 +175,8 @@ func allReduceSum[T float32 | float64](g *Group, rank int, x []T) {
 	g.depart()
 }
 
-// AllReduceSum is the float32 all-reduce used for dense gradients.
+// AllReduceSum is the per-vector float32 all-reduce: the reference
+// FusedAllReduce's bits are pinned against, one round per call.
 func (g *Group) AllReduceSum(rank int, x []float32) { allReduceSum(g, rank, x) }
 
 // fusedContrib is one rank's snapshot of a fused round: every gradient
@@ -235,63 +233,5 @@ func (g *Group) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 	g.depart()
 }
 
-// AllReduceSum64 is the float64 all-reduce. The LRPP trainers use it for
-// the full-batch loss: per-rank partial losses are float64, and summing
-// them in rank order from zero reproduces bit-for-bit the fold the
-// single-process engines compute, so every trainer reports the identical
-// loss the baseline would.
+// AllReduceSum64 is AllReduceSum for float64 vectors (loss terms).
 func (g *Group) AllReduceSum64(rank int, x []float64) { allReduceSum(g, rank, x) }
-
-// Barrier blocks until all ranks reach it.
-func (g *Group) Barrier(rank int) {
-	if g.n == 1 {
-		return
-	}
-	g.arrive(rank, []float32{})
-	g.depart()
-}
-
-// AllGather returns every rank's contribution, indexed by rank. The result
-// slices alias the contributed data; callers must treat them as read-only.
-func (g *Group) AllGather(rank int, x []float32) [][]float32 {
-	if g.n == 1 {
-		return [][]float32{x}
-	}
-	slots := g.arrive(rank, x)
-	out := make([][]float32, g.n)
-	for r := range slots {
-		out[r] = slots[r].([]float32)
-	}
-	g.depart()
-	return out
-}
-
-// AllToAll exchanges per-destination buffers: send[j] goes to rank j. The
-// returned recv[j] is the buffer rank j sent to this rank. Used by the
-// TorchRec-style baseline's embedding exchange.
-func (g *Group) AllToAll(rank int, send [][]float32) [][]float32 {
-	if len(send) != g.n {
-		panic(fmt.Sprintf("collective: AllToAll needs %d send buffers, got %d", g.n, len(send)))
-	}
-	if g.n == 1 {
-		return [][]float32{send[0]}
-	}
-	// flatten pointers through two phases: publish all send matrices, then
-	// pick out the column addressed to us.
-	g.mu.Lock()
-	if g.a2a == nil {
-		g.a2a = make([][][]float32, g.n)
-	}
-	g.a2a[rank] = send
-	g.mu.Unlock()
-	g.Barrier(rank)
-	recv := make([][]float32, g.n)
-	for r := 0; r < g.n; r++ {
-		recv[r] = g.a2a[r][rank]
-	}
-	g.Barrier(rank)
-	g.mu.Lock()
-	g.a2a[rank] = nil
-	g.mu.Unlock()
-	return recv
-}

@@ -185,79 +185,6 @@ func TestAllReduceDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	g := NewGroup(4)
-	var mu sync.Mutex
-	phase := make(map[int]int)
-	run(4, func(rank int) {
-		for i := 0; i < 10; i++ {
-			mu.Lock()
-			phase[rank] = i
-			// no rank may be more than one barrier phase away
-			for r, p := range phase {
-				if p < i-1 || p > i+1 {
-					t.Errorf("rank %d at %d while rank %d at %d", rank, i, r, p)
-				}
-			}
-			mu.Unlock()
-			g.Barrier(rank)
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	g := NewGroup(3)
-	run(3, func(rank int) {
-		got := g.AllGather(rank, []float32{float32(rank * 10)})
-		for r := 0; r < 3; r++ {
-			if got[r][0] != float32(r*10) {
-				t.Errorf("rank %d sees %v for rank %d", rank, got[r][0], r)
-			}
-		}
-	})
-}
-
-func TestAllToAll(t *testing.T) {
-	const n = 3
-	g := NewGroup(n)
-	var mu sync.Mutex
-	seen := make(map[[2]int]float32) // (receiver, sender) → value
-	run(n, func(rank int) {
-		send := make([][]float32, n)
-		for j := 0; j < n; j++ {
-			send[j] = []float32{float32(rank*100 + j)}
-		}
-		recv := g.AllToAll(rank, send)
-		mu.Lock()
-		for r := 0; r < n; r++ {
-			seen[[2]int{rank, r}] = recv[r][0]
-		}
-		mu.Unlock()
-	})
-	for recvRank := 0; recvRank < n; recvRank++ {
-		for sender := 0; sender < n; sender++ {
-			want := float32(sender*100 + recvRank)
-			if got := seen[[2]int{recvRank, sender}]; got != want {
-				t.Fatalf("recv %d from %d: got %v want %v", recvRank, sender, got, want)
-			}
-		}
-	}
-}
-
-func TestAllToAllRepeated(t *testing.T) {
-	g := NewGroup(2)
-	run(2, func(rank int) {
-		for i := 0; i < 30; i++ {
-			send := [][]float32{{float32(rank)}, {float32(rank)}}
-			recv := g.AllToAll(rank, send)
-			if recv[0][0] != 0 || recv[1][0] != 1 {
-				t.Errorf("iter %d rank %d bad recv", i, rank)
-				return
-			}
-		}
-	})
-}
-
 func TestGroupValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -152,8 +152,6 @@ func runLRPPTCPOnce(b *testing.B, cfg Config, p int) *Result {
 // Loopback has microsecond latency and GB/s bandwidth, so this measures
 // the protocol's own cost (framing, codec, syscalls, acked write-backs)
 // rather than a congested network; see README's measured-vs-modeled note.
-// Runs the default (fused) collective strategy; BenchmarkCollectives
-// sweeps the strategies explicitly.
 func BenchmarkLRPPTCP(b *testing.B) {
 	for _, p := range []int{2, 4} {
 		b.Run(fmt.Sprintf("%dtrainers", p), func(b *testing.B) {
@@ -162,27 +160,6 @@ func BenchmarkLRPPTCP(b *testing.B) {
 				reportRun(b, runLRPPTCPOnce(b, cfg, p), nil)
 			}
 		})
-	}
-}
-
-// BenchmarkCollectives sweeps the mesh all-reduce strategy × trainer count
-// over loopback TCP: the perf trajectory of the fused/ring collective work
-// (rooted is the PR-3 wire behavior, one frame per dense parameter per
-// step). All cells run the identical workload and end in identical bits;
-// only the communication schedule differs.
-func BenchmarkCollectives(b *testing.B) {
-	for _, strategy := range []string{CollRooted, CollFused, CollRing, CollTree} {
-		for _, p := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s-%dtrainers", strategy, p), func(b *testing.B) {
-				cfg := benchConfig(p)
-				cfg.Collective = strategy
-				for i := 0; i < b.N; i++ {
-					res := runLRPPTCPOnce(b, cfg, p)
-					reportRun(b, res, nil)
-					b.ReportMetric(float64(res.MeshClasses.CollMsgs)/float64(res.Iters), "collframes/iter")
-				}
-			})
-		}
 	}
 }
 

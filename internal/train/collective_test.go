@@ -9,106 +9,78 @@ import (
 	"bagpipe/internal/transport"
 )
 
-// TestCollectiveStrategiesBitIdentical is the collective conformance
-// matrix: every mesh all-reduce strategy (rooted per-parameter frames,
-// fused single-frame, ring, binomial tree) over every fabric (instant
-// in-process, reordering simulated links, real TCP sockets + codec) leaves
-// the embedding servers bit-identical to the no-cache baseline and reports
-// its exact losses. Under -race this also exercises the ring and tree
-// relay paths in the receiver goroutine.
+// TestCollectiveStrategiesBitIdentical is the mesh collective's
+// conformance matrix: the fused all-reduce over every fabric (instant
+// in-process, reordering simulated links, real TCP sockets + codec) × P ∈
+// {2, 3, 4} leaves the embedding servers bit-identical to the no-cache
+// baseline of the same P and reports its exact losses. P=3 has rank 0 fold
+// an odd number of peer frames.
 func TestCollectiveStrategiesBitIdentical(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumTrainers = 3
-	cfg.NumBatches = 12
-
-	srvBase := newServer(cfg.Spec, 3)
-	base, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-
-	for _, strategy := range []string{CollRooted, CollFused, CollRing, CollTree} {
-		for _, meshName := range []string{"inproc", "sim", "tcp"} {
-			t.Run(fmt.Sprintf("%s_%s", strategy, meshName), func(t *testing.T) {
-				c := cfg
-				c.Collective = strategy
-				srv := newServer(c.Spec, 3)
-				var mesh transport.Mesh
-				switch meshName {
-				case "inproc":
-					mesh = transport.NewInprocMesh(c.NumTrainers)
-				case "sim":
-					mesh = transport.NewSimMesh(c.NumTrainers, 200*time.Microsecond, 20e6)
-				case "tcp":
-					lb, err := transport.NewLoopbackTCPMesh(c.NumTrainers)
+	for _, meshName := range []string{"inproc", "sim", "tcp"} {
+		t.Run("fused_"+meshName, func(t *testing.T) {
+			for _, P := range []int{2, 3, 4} {
+				t.Run(fmt.Sprintf("P%d", P), func(t *testing.T) {
+					cfg := tinyConfig()
+					cfg.NumTrainers = P
+					cfg.NumBatches = 12
+					srvBase := newServer(cfg.Spec, 3)
+					base, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("baseline: %v", err)
 					}
-					defer lb.Shutdown()
-					mesh = lb
-				}
-				results := runWorkers(t, c, newStores(srv, c.NumTrainers), mesh)
+					srv := newServer(cfg.Spec, 3)
+					var mesh transport.Mesh
+					switch meshName {
+					case "inproc":
+						mesh = transport.NewInprocMesh(P)
+					case "sim":
+						mesh = transport.NewSimMesh(P, 200*time.Microsecond, 20e6)
+					case "tcp":
+						lb, err := transport.NewLoopbackTCPMesh(P)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer lb.Shutdown()
+						mesh = lb
+					}
+					results := runWorkers(t, cfg, newStores(srv, P), mesh)
 
-				if d := embed.Diff(srvBase, srv); len(d) != 0 {
-					t.Fatalf("strategy %s over %s diverged at %d ids (first: %v)", strategy, meshName, len(d), d[0])
-				}
-				for p, res := range results {
-					if res.FirstLoss != base.FirstLoss || res.LastLoss != base.LastLoss {
-						t.Fatalf("worker %d losses diverged: %v/%v vs baseline %v/%v",
-							p, res.FirstLoss, res.LastLoss, base.FirstLoss, base.LastLoss)
+					if d := embed.Diff(srvBase, srv); len(d) != 0 {
+						t.Fatalf("P=%d over %s diverged at %d ids (first: %v)", P, meshName, len(d), d[0])
 					}
-					if res.MeshClasses.CollMsgs == 0 {
-						t.Fatalf("worker %d sent no collective frames under strategy %s", p, strategy)
+					for p, res := range results {
+						if res.FirstLoss != base.FirstLoss || res.LastLoss != base.LastLoss {
+							t.Fatalf("worker %d losses diverged: %v/%v vs baseline %v/%v",
+								p, res.FirstLoss, res.LastLoss, base.FirstLoss, base.LastLoss)
+						}
+						if res.MeshClasses.CollMsgs == 0 {
+							t.Fatalf("worker %d sent no collective frames", p)
+						}
 					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }
 
-// TestFusedCollectiveFrameReduction pins the tentpole's arithmetic: per
-// iteration, the fused strategy sends 2(P−1) collective frames across the
-// whole mesh where rooted sends 2(P−1)·(params+1), and ring sends P(P−1).
-// The wd model has well over four dense parameters, so fused must beat
-// rooted by ≥5× — the acceptance bar — and the counters, not the math,
-// are what's checked.
+// TestFusedCollectiveFrameReduction pins the collective's frame count from
+// the counters, not the math: per iteration every peer sends rank 0 one
+// frame and rank 0 sends every peer one back — 2(P−1) frames across the
+// whole mesh, however many dense parameters the model has.
 func TestFusedCollectiveFrameReduction(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumTrainers = 3
-	cfg.NumBatches = 10
-
-	frames := make(map[string]int64)
-	for _, strategy := range []string{CollRooted, CollFused, CollRing, CollTree} {
-		c := cfg
-		c.Collective = strategy
-		srv := newServer(c.Spec, 3)
-		results := runWorkers(t, c, newStores(srv, c.NumTrainers), transport.NewInprocMesh(c.NumTrainers))
+	for _, P := range []int{2, 3, 4} {
+		cfg := tinyConfig()
+		cfg.NumTrainers = P
+		cfg.NumBatches = 10
+		srv := newServer(cfg.Spec, 3)
+		results := runWorkers(t, cfg, newStores(srv, P), transport.NewInprocMesh(P))
 		var total int64
 		for _, res := range results {
 			total += res.MeshClasses.CollMsgs
 		}
-		frames[strategy] = total
-	}
-	P, iters := int64(cfg.NumTrainers), int64(cfg.NumBatches)
-	if want := P * (P - 1) * iters; frames[CollRing] != want {
-		t.Errorf("ring sent %d collective frames, want P(P-1)·iters = %d", frames[CollRing], want)
-	}
-	if want := 2 * (P - 1) * iters; frames[CollFused] != want {
-		t.Errorf("fused sent %d collective frames, want 2(P-1)·iters = %d", frames[CollFused], want)
-	}
-	// Tree: every contribution is relayed popcount(r) hops up the binomial
-	// tree, and the result travels the P−1 tree edges back down.
-	var hops int64
-	for r := int64(1); r < P; r++ {
-		for v := r; v != 0; v &= v - 1 {
-			hops++
+		if want := 2 * int64(P-1) * int64(cfg.NumBatches); total != want {
+			t.Errorf("P=%d sent %d collective frames, want 2(P-1)·iters = %d", P, total, want)
 		}
-	}
-	if want := (hops + P - 1) * iters; frames[CollTree] != want {
-		t.Errorf("tree sent %d collective frames, want (Σpopcount+P-1)·iters = %d", frames[CollTree], want)
-	}
-	if frames[CollRooted] < 5*frames[CollFused] {
-		t.Errorf("rooted sent %d frames vs fused %d: fusion saves < 5x", frames[CollRooted], frames[CollFused])
 	}
 }
 
@@ -199,29 +171,8 @@ func TestCalibrateAndAutoLookahead(t *testing.T) {
 		t.Fatal("zero cache budget accepted")
 	}
 	bad := cfg
-	bad.Collective = "nope"
+	bad.NumTrainers = 0
 	if _, err := AutoLookahead(bad, time.Millisecond, time.Millisecond, 100, 64); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-}
-
-// TestCollectiveConfigValidation: unknown strategy names are rejected at
-// every engine entry point.
-func TestCollectiveConfigValidation(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Collective = "butterfly"
-	srv := newServer(cfg.Spec, 1)
-	if _, err := RunLRPP(cfg, newStores(srv, cfg.NumTrainers), nil); err == nil {
-		t.Fatal("RunLRPP accepted unknown collective strategy")
-	}
-	if _, err := RunLRPPWorker(cfg, 0, transport.NewInProcess(srv), transport.NewInprocMesh(cfg.NumTrainers)); err == nil {
-		t.Fatal("RunLRPPWorker accepted unknown collective strategy")
-	}
-	ok := tinyConfig()
-	for _, s := range []string{"", CollRooted, CollFused, CollRing, CollTree} {
-		ok.Collective = s
-		if err := ok.validate(); err != nil {
-			t.Fatalf("strategy %q rejected: %v", s, err)
-		}
 	}
 }

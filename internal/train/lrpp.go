@@ -46,7 +46,7 @@ type LRPPHooks struct {
 // which trainer computed them or in which order the mesh delivered them.
 // It is the transport wire type directly: the engine's mesh payloads
 // (transport.ReplicaMsg, transport.SyncBatchMsg, and in worker mode
-// transport.PlanMsg / transport.CollMsg) are identical over in-process,
+// transport.PlanMsg / transport.FusedCollMsg) are identical over in-process,
 // simulated, and TCP fabrics — only the TCP mesh additionally runs them
 // through the little-endian codec.
 type contribEntry = transport.Contrib
@@ -616,19 +616,12 @@ func (t *lrppTrainer) startReceiver() {
 					panic(fmt.Sprintf("train: trainer %d received a plan outside worker mode", t.p))
 				}
 				t.planBox.put(pl.Plan)
-			case transport.CollMsg:
+			case transport.FusedCollMsg:
 				// Worker mode only: collective contributions and results.
 				if t.mcoll == nil {
 					panic(fmt.Sprintf("train: trainer %d received a collective message outside worker mode", t.p))
 				}
 				t.mcoll.deliver(msg.From, pl)
-			case transport.FusedCollMsg:
-				// Worker mode only: fused contributions; under the ring
-				// strategy delivery also relays the frame to the next rank.
-				if t.mcoll == nil {
-					panic(fmt.Sprintf("train: trainer %d received a collective message outside worker mode", t.p))
-				}
-				t.mcoll.deliverFused(pl, msg.Bytes)
 			default:
 				panic(fmt.Sprintf("train: trainer %d received unknown mesh payload %T", t.p, msg.Payload))
 			}
@@ -939,10 +932,12 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	ls := extractLocal(d.Batch, d.Assign, t.p, eng.cfg.Spec.NumCategorical, eng.cfg.Spec.NumNumeric, eng.dim, gathered)
 	// extractLocal copied every gathered row into the local slice, so the
 	// replica snapshot this trainer adopted from the pushes is dead: return
-	// the rows and the map to the pools the senders drew them from.
+	// the rows and the map to the pools the senders drew them from. A row
+	// of any other width came off a corrupt frame and is left to the
+	// collector.
 	if replicas != nil {
 		for _, row := range replicas {
-			if row != nil {
+			if len(row) == t.arena.Dim() {
 				t.arena.Put(row)
 			}
 		}

@@ -10,107 +10,36 @@ import (
 
 // This file is the mesh-based side of the collective layer: the reducer a
 // multi-process LRPP worker steps its dense gradients and loss through
-// (collective.Collective's mesh implementation). Three strategies are
-// selectable per run (cfg.Collective, -collective at the CLI), all folding
-// contributions per segment in rank order from zero so every strategy —
-// like the in-process collective.Group — produces bit-identical results:
-//
-//   - rooted: the PR-3 baseline. One CollMsg per dense parameter per step,
-//     reduced through rank 0 and broadcast back: 2(P−1) frames per
-//     *parameter* per iteration.
-//   - fused: one FusedCollMsg packs every parameter segment plus the loss
-//     term behind a segment table, reduced through rank 0 and broadcast:
-//     2(P−1) frames per *iteration* — the frame count drops by the number
-//     of dense parameters.
-//   - ring: the same fused frame, but topology-aware: each rank sends its
-//     contribution to (rank+1) mod P and forwards what it receives, so
-//     after P−1 hops every rank holds all P contributions and folds them
-//     locally in rank order. P(P−1) smaller-haul frames per iteration, but
-//     no rank-0 incast: every link carries exactly P−1 frames, where the
-//     rooted strategies put all 2(P−1) on rank 0's links.
-//   - tree: rank-pairing over a binomial tree of depth ⌈log₂P⌉ (parent of
-//     rank r is r with its lowest set bit cleared). Contributions are
-//     relayed up the tree *unfolded* — partial sums at interior nodes would
-//     change the float summation order and break bit-identity — so rank 0
-//     still folds all P frames in rank order; the result then travels the
-//     P−1 tree edges back down. Σ popcount(r) + (P−1) frames per
-//     iteration, and rank 0's broadcast fanout drops from P−1 sends to
-//     ⌈log₂P⌉ — the per-endpoint send pressure a large-P rooted broadcast
-//     concentrates on rank 0 is spread over the tree.
+// (collective.Collective's mesh implementation). One FusedCollMsg packs
+// every dense-parameter segment plus the loss term behind a segment table;
+// every rank sends its frame to rank 0, which folds all P contributions per
+// segment in rank order from zero — the summation order of the in-process
+// collective.Group, so worker runs stay bit-identical to single-process
+// ones — and broadcasts the result: 2(P−1) frames per iteration.
 //
 // Every call is tagged with a sequence number (all ranks make the same
 // sequence of collective calls, as with MPI communicators), so arbitrarily
 // reordered delivery cannot mismatch phases. The trainer's receiver
-// goroutine feeds inbound frames in through deliver/deliverFused.
-
-// Collective strategy names (Config.Collective / -collective).
-const (
-	CollRooted = "rooted"
-	CollFused  = "fused"
-	CollRing   = "ring"
-	CollTree   = "tree"
-)
-
-// treeParent returns rank r's parent in the binomial tree: r with its
-// lowest set bit cleared (undefined for the root, which never sends up).
-func treeParent(r int) int { return r & (r - 1) }
-
-// treeChildren returns rank r's children in the binomial tree over n
-// ranks: r + 2^j for every power of two below r's lowest set bit (every
-// power for the root), bounded by n.
-func treeChildren(r, n int) []int {
-	var out []int
-	for bit := 1; r+bit < n; bit <<= 1 {
-		if r != 0 && bit >= r&-r {
-			break
-		}
-		out = append(out, r+bit)
-	}
-	return out
-}
+// goroutine feeds inbound frames in through deliver.
 
 // meshColl implements collective.Collective over a mesh endpoint.
 type meshColl struct {
-	rank, n  int
-	ep       transport.Endpoint
-	strategy string
-	eng      *lrppEngine // per-class traffic accounting
-
-	// Fixed topology, computed once: this rank's parent and children in
-	// the binomial tree (tree strategy), and the root's result fanout for
-	// the strategy (all peers under fused, rank 0's children under tree;
-	// only rank 0 reads it).
-	parent     int
-	kids       []int
-	rootFanout []int
+	rank, n int
+	ep      transport.Endpoint
+	eng     *lrppEngine // per-class traffic accounting
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	seq     uint64
-	contrib map[uint64]map[int]transport.CollMsg      // rooted, root: seq → sender → contribution
-	result  map[uint64]transport.CollMsg              // rooted, non-root: seq → root's result
-	fused   map[uint64]map[int]transport.FusedCollMsg // fused root / ring all: seq → origin → contribution
-	fresult map[uint64]transport.FusedCollMsg         // fused, non-root: seq → root's result
+	contrib map[uint64]map[int]transport.FusedCollMsg // root: seq → sender → contribution
+	result  map[uint64]transport.FusedCollMsg         // non-root: seq → root's result
 }
 
-func newMeshColl(rank, n int, ep transport.Endpoint, strategy string, eng *lrppEngine) *meshColl {
+func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine) *meshColl {
 	c := &meshColl{
-		rank: rank, n: n, ep: ep, strategy: strategy, eng: eng,
-		parent:  treeParent(rank),
-		kids:    treeChildren(rank, n),
-		contrib: make(map[uint64]map[int]transport.CollMsg),
-		result:  make(map[uint64]transport.CollMsg),
-		fused:   make(map[uint64]map[int]transport.FusedCollMsg),
-		fresult: make(map[uint64]transport.FusedCollMsg),
-	}
-	if rank == 0 {
-		if strategy == CollTree {
-			c.rootFanout = c.kids
-		} else {
-			for r := 1; r < n; r++ {
-				c.rootFanout = append(c.rootFanout, r)
-			}
-		}
+		rank: rank, n: n, ep: ep, eng: eng,
+		contrib: make(map[uint64]map[int]transport.FusedCollMsg),
+		result:  make(map[uint64]transport.FusedCollMsg),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -125,14 +54,15 @@ func (c *meshColl) send(to int, bytes int64, payload any) {
 	}
 }
 
-// deliver routes one inbound unfused collective message (called from the
-// trainer's mesh receiver goroutine).
-func (c *meshColl) deliver(from int, m transport.CollMsg) {
+// deliver routes one inbound fused frame from mesh rank from (called
+// from the trainer's mesh receiver goroutine): a peer's contribution at
+// rank 0, the root's result everywhere else.
+func (c *meshColl) deliver(from int, m transport.FusedCollMsg) {
 	c.mu.Lock()
 	if c.rank == 0 {
 		byFrom := c.contrib[m.Seq]
 		if byFrom == nil {
-			byFrom = make(map[int]transport.CollMsg, c.n-1)
+			byFrom = make(map[int]transport.FusedCollMsg, c.n-1)
 			c.contrib[m.Seq] = byFrom
 		}
 		byFrom[from] = m
@@ -143,53 +73,9 @@ func (c *meshColl) deliver(from int, m transport.CollMsg) {
 	c.mu.Unlock()
 }
 
-// deliverFused routes one inbound fused frame. Under the ring and tree
-// strategies the receiver is also a relay — ring: a contribution is
-// forwarded to the next rank unless that rank is its origin (the frame has
-// then completed its P−1 hops); tree: a contribution climbing through a
-// non-root rank is relayed to the parent untouched (folding here would
-// change the summation order), and the root's descending result is
-// forwarded to this rank's children. Forwarding happens before the local
-// deposit so a frame's next hop never waits on this rank's fold.
-func (c *meshColl) deliverFused(m transport.FusedCollMsg, bytes int64) {
-	switch c.strategy {
-	case CollRing:
-		if next := (c.rank + 1) % c.n; next != m.Origin {
-			c.send(next, bytes, m)
-		}
-	case CollTree:
-		if m.Origin != 0 && c.rank != 0 {
-			// a contribution passing through on its way to the root: pure
-			// relay, nothing to deposit here.
-			c.send(c.parent, bytes, m)
-			return
-		}
-		if m.Origin == 0 {
-			// the root's result descending: hand it to this rank's subtree
-			// first, then deposit the local copy.
-			for _, ch := range c.kids {
-				c.send(ch, bytes, m)
-			}
-		}
-	}
-	c.mu.Lock()
-	if c.strategy == CollRing || c.rank == 0 {
-		byOrigin := c.fused[m.Seq]
-		if byOrigin == nil {
-			byOrigin = make(map[int]transport.FusedCollMsg, c.n-1)
-			c.fused[m.Seq] = byOrigin
-		}
-		byOrigin[m.Origin] = m
-	} else {
-		c.fresult[m.Seq] = m
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// gather blocks until every peer's unfused contribution for seq arrived
-// (rooted root only) and removes them from the pending set.
-func (c *meshColl) gather(seq uint64) map[int]transport.CollMsg {
+// gather blocks until all n−1 peer contributions for seq arrived
+// (rank 0 only) and removes them.
+func (c *meshColl) gather(seq uint64) map[int]transport.FusedCollMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.contrib[seq]) < c.n-1 {
@@ -200,41 +86,14 @@ func (c *meshColl) gather(seq uint64) map[int]transport.CollMsg {
 	return byFrom
 }
 
-// await blocks until the root's unfused result for seq arrived (rooted
-// non-root only).
-func (c *meshColl) await(seq uint64) transport.CollMsg {
+// await blocks until the root's result for seq arrived (non-root
+// only).
+func (c *meshColl) await(seq uint64) transport.FusedCollMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if m, ok := c.result[seq]; ok {
 			delete(c.result, seq)
-			return m
-		}
-		c.cond.Wait()
-	}
-}
-
-// gatherFused blocks until all n−1 peer contributions for seq arrived
-// (fused root, or any rank under ring) and removes them.
-func (c *meshColl) gatherFused(seq uint64) map[int]transport.FusedCollMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.fused[seq]) < c.n-1 {
-		c.cond.Wait()
-	}
-	byOrigin := c.fused[seq]
-	delete(c.fused, seq)
-	return byOrigin
-}
-
-// awaitFused blocks until the root's fused result for seq arrived (fused
-// non-root only).
-func (c *meshColl) awaitFused(seq uint64) transport.FusedCollMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if m, ok := c.fresult[seq]; ok {
-			delete(c.fresult, seq)
 			return m
 		}
 		c.cond.Wait()
@@ -249,34 +108,11 @@ func (c *meshColl) nextSeq() uint64 {
 	return s
 }
 
-// FusedAllReduce implements collective.Collective: one call reduces every
-// dense-parameter segment plus the loss vector across the mesh, by the
-// configured strategy. All strategies fold in rank order from zero, so the
-// result bits match the in-process Group exactly.
-func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
-	if c.n == 1 {
-		return
-	}
-	switch c.strategy {
-	case CollRooted:
-		for _, s := range segs {
-			c.allReduceSum(s)
-		}
-		c.allReduceSum64(loss)
-	case CollRing:
-		c.fusedRing(segs, loss)
-	case CollTree:
-		c.fusedTree(segs, loss)
-	default: // CollFused
-		c.fusedRooted(segs, loss)
-	}
-}
-
 // snapshotFused copies segs and loss into a frame: the caller's buffers are
 // live (reused across iterations, mutated by the fold), and in-process
 // meshes deliver payloads by reference.
-func snapshotFused(seq uint64, origin int, segs [][]float32, loss []float64) transport.FusedCollMsg {
-	m := transport.FusedCollMsg{Seq: seq, Origin: origin,
+func snapshotFused(seq uint64, segs [][]float32, loss []float64) transport.FusedCollMsg {
+	m := transport.FusedCollMsg{Seq: seq,
 		Segs: make([][]float32, len(segs)), Loss: append([]float64(nil), loss...)}
 	for i, s := range segs {
 		m.Segs[i] = append([]float32(nil), s...)
@@ -286,183 +122,66 @@ func snapshotFused(seq uint64, origin int, segs [][]float32, loss []float64) tra
 
 // checkFused panics unless m's shape matches the local call: a mismatch
 // means the ranks' collective call sequences diverged, which can only end
-// in silent corruption.
-func (c *meshColl) checkFused(m transport.FusedCollMsg, segs [][]float32, loss []float64) {
+// in silent corruption. from is the rank the frame came from.
+func checkFused(m transport.FusedCollMsg, from int, segs [][]float32, loss []float64) {
 	if len(m.Segs) != len(segs) || len(m.Loss) != len(loss) {
-		panic(fmt.Sprintf("train: collective %d: rank %d contributed %d segments / %d loss terms, want %d / %d",
-			m.Seq, m.Origin, len(m.Segs), len(m.Loss), len(segs), len(loss)))
+		panic(fmt.Sprintf("train: collective %d: rank %d sent %d segments / %d loss terms, want %d / %d",
+			m.Seq, from, len(m.Segs), len(m.Loss), len(segs), len(loss)))
 	}
 	for i, s := range segs {
 		if len(m.Segs[i]) != len(s) {
 			panic(fmt.Sprintf("train: collective %d: rank %d segment %d carried %d floats, want %d",
-				m.Seq, m.Origin, i, len(m.Segs[i]), len(s)))
+				m.Seq, from, i, len(m.Segs[i]), len(s)))
 		}
 	}
 }
 
-// fusedRooted is the fused strategy: every rank sends its frame straight to
-// rank 0, which folds and broadcasts to everyone — 2(P−1) frames per
-// iteration.
-func (c *meshColl) fusedRooted(segs [][]float32, loss []float64) {
-	c.fusedViaRoot(segs, loss, 0, c.rootFanout)
-}
-
-// fusedTree is the rank-pairing strategy: contributions climb the binomial
-// tree (relayed unfolded by deliverFused), rank 0 folds all P frames in
-// rank order, and the result descends the same tree edges (non-root ranks
-// forward it to their children in deliverFused). Σ popcount(r) + (P−1)
-// frames per iteration; rank 0 sends only to its ⌈log₂P⌉ children.
-func (c *meshColl) fusedTree(segs [][]float32, loss []float64) {
-	c.fusedViaRoot(segs, loss, c.parent, c.rootFanout)
-}
-
-// fusedViaRoot is the reduce-through-rank-0 core behind the fused and tree
-// strategies: every contribution reaches rank 0 (directly, or relayed up
-// the tree by deliverFused), rank 0 folds all P frames in rank order from
-// zero — the bit-identity contract — and sends the result to fanout; every
-// other rank sends its own frame to parent and blocks for the result
-// (parent is 0 under fused, the tree parent under tree; fanout is only
-// read by rank 0).
-func (c *meshColl) fusedViaRoot(segs [][]float32, loss []float64, parent int, fanout []int) {
+// FusedAllReduce implements collective.Collective: one call reduces every
+// dense-parameter segment plus the loss vector across the mesh. Every rank
+// sends its frame to rank 0; rank 0 folds all P frames in rank order from
+// zero — the bit-identity contract — and sends the result back to every
+// peer, which blocks for it.
+func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
+	if c.n == 1 {
+		return
+	}
 	seq := c.nextSeq()
 	bytes := fusedCollBytes(segs, len(loss))
-	if c.rank == 0 {
-		byOrigin := c.gatherFused(seq)
-		// Fold in rank order from zero: segs/loss already hold rank 0's
-		// terms. Whole segments at a time through the vector kernels — the
-		// same left-to-right per-element summation as the scalar loop.
-		for r := 1; r < c.n; r++ {
-			m, ok := byOrigin[r]
-			if !ok {
-				panic(fmt.Sprintf("train: collective %d: rank %d never contributed", seq, r))
-			}
-			c.checkFused(m, segs, loss)
-			for i, x := range segs {
-				collective.AddF32(x, m.Segs[i])
-			}
-			collective.AddF64(loss, m.Loss)
+	if c.rank != 0 {
+		c.send(0, bytes, snapshotFused(seq, segs, loss))
+		m := c.await(seq)
+		checkFused(m, 0, segs, loss)
+		for i := range segs {
+			copy(segs[i], m.Segs[i])
 		}
-		out := snapshotFused(seq, 0, segs, loss)
-		for _, r := range fanout {
-			c.send(r, bytes, out)
-		}
+		copy(loss, m.Loss)
 		return
 	}
-	c.send(parent, bytes, snapshotFused(seq, c.rank, segs, loss))
-	m := c.awaitFused(seq)
-	c.checkFused(m, segs, loss)
-	for i := range segs {
-		copy(segs[i], m.Segs[i])
-	}
-	copy(loss, m.Loss)
-}
-
-// fusedRing is the topology-aware strategy: contributions travel the ring
-// (each rank sends its own frame to the next rank; relays happen in
-// deliverFused), every rank buffers all P contributions per segment and
-// folds from zero in rank order — the identical summation, no rank-0
-// incast.
-func (c *meshColl) fusedRing(segs [][]float32, loss []float64) {
-	seq := c.nextSeq()
-	own := snapshotFused(seq, c.rank, segs, loss)
-	c.send((c.rank+1)%c.n, fusedCollBytes(segs, len(loss)), own)
-	byOrigin := c.gatherFused(seq)
-	for r := 0; r < c.n; r++ {
-		if r == c.rank {
-			continue
-		}
-		m, ok := byOrigin[r]
-		if !ok {
-			panic(fmt.Sprintf("train: collective %d: rank %d's contribution never completed the ring", seq, r))
-		}
-		c.checkFused(m, segs, loss)
-	}
-	term := func(r int) transport.FusedCollMsg {
-		if r == c.rank {
-			return own
-		}
-		return byOrigin[r]
-	}
-	// Fold from zero in rank order with the vector kernels: copy rank 0's
-	// term, add ranks 1..n−1 — element-independent, so the bits match the
-	// old per-element fold exactly.
-	for i, x := range segs {
-		copy(x, term(0).Segs[i])
-		for r := 1; r < c.n; r++ {
-			collective.AddF32(x, term(r).Segs[i])
-		}
-	}
-	copy(loss, term(0).Loss)
+	byFrom := c.gather(seq)
+	// Fold in rank order from zero: segs/loss already hold rank 0's terms.
+	// Whole segments at a time through the vector kernels — the same
+	// left-to-right per-element summation as the scalar loop.
 	for r := 1; r < c.n; r++ {
-		collective.AddF64(loss, term(r).Loss)
+		m, ok := byFrom[r]
+		if !ok {
+			panic(fmt.Sprintf("train: collective %d: rank %d never contributed", seq, r))
+		}
+		checkFused(m, r, segs, loss)
+		for i, x := range segs {
+			collective.AddF32(x, m.Segs[i])
+		}
+		collective.AddF64(loss, m.Loss)
+	}
+	out := snapshotFused(seq, segs, loss)
+	for r := 1; r < c.n; r++ {
+		c.send(r, bytes, out)
 	}
 }
-
-// allReduceSum is the rooted (unfused) float32 reduce+broadcast: one frame
-// pair per call, contributions folded at rank 0 in rank order from zero.
-func (c *meshColl) allReduceSum(x []float32) {
-	seq := c.nextSeq()
-	if c.rank == 0 {
-		byFrom := c.gather(seq)
-		// Fold in rank order from zero: x already holds rank 0's term.
-		for r := 1; r < c.n; r++ {
-			m, ok := byFrom[r]
-			if !ok || len(m.F32) != len(x) {
-				panic(fmt.Sprintf("train: collective %d: rank %d contributed %d floats, want %d",
-					seq, r, len(m.F32), len(x)))
-			}
-			collective.AddF32(x, m.F32)
-		}
-		// Broadcast a snapshot: x is the caller's live gradient buffer, and
-		// in-process meshes deliver payloads by reference.
-		out := append([]float32(nil), x...)
-		for r := 1; r < c.n; r++ {
-			c.send(r, collBytes(len(x), 4), transport.CollMsg{Seq: seq, F32: out})
-		}
-		return
-	}
-	c.send(0, collBytes(len(x), 4), transport.CollMsg{Seq: seq, F32: append([]float32(nil), x...)})
-	m := c.await(seq)
-	if len(m.F32) != len(x) {
-		panic(fmt.Sprintf("train: collective %d: result carried %d floats, want %d", seq, len(m.F32), len(x)))
-	}
-	copy(x, m.F32)
-}
-
-// allReduceSum64 is allReduceSum for float64 vectors (loss terms).
-func (c *meshColl) allReduceSum64(x []float64) {
-	seq := c.nextSeq()
-	if c.rank == 0 {
-		byFrom := c.gather(seq)
-		for r := 1; r < c.n; r++ {
-			m, ok := byFrom[r]
-			if !ok || len(m.F64) != len(x) {
-				panic(fmt.Sprintf("train: collective %d: rank %d contributed %d doubles, want %d",
-					seq, r, len(m.F64), len(x)))
-			}
-			collective.AddF64(x, m.F64)
-		}
-		out := append([]float64(nil), x...)
-		for r := 1; r < c.n; r++ {
-			c.send(r, collBytes(len(x), 8), transport.CollMsg{Seq: seq, F64: out})
-		}
-		return
-	}
-	c.send(0, collBytes(len(x), 8), transport.CollMsg{Seq: seq, F64: append([]float64(nil), x...)})
-	m := c.await(seq)
-	if len(m.F64) != len(x) {
-		panic(fmt.Sprintf("train: collective %d: result carried %d doubles, want %d", seq, len(m.F64), len(x)))
-	}
-	copy(x, m.F64)
-}
-
-// collBytes is the declared wire size of one unfused collective message.
-func collBytes(n, elem int) int64 { return 9 + int64(n*elem) }
 
 // fusedCollBytes is the declared wire size of one fused collective frame:
-// seq + origin + segment table + loss vector.
+// seq + segment table + loss vector.
 func fusedCollBytes(segs [][]float32, lossLen int) int64 {
-	b := int64(8 + 4 + 4 + 4 + 8*lossLen)
+	b := int64(8 + 4 + 4 + 8*lossLen)
 	for _, s := range segs {
 		b += 4 + 4*int64(len(s))
 	}

@@ -30,11 +30,10 @@
 // Every engine drives the same deterministic rank machinery: data-parallel
 // model replicas whose dense gradients and loss are combined in one fused
 // collective round per iteration, folded in rank order from zero
-// (collective.Group in-process; meshColl across processes, with rooted /
-// fused / ring strategies — meshcoll.go), and per-row gradient
-// contributions folded in batch-example order with one optimizer update
-// per (row, iteration). Over the same Config, every engine × fabric ×
-// collective-strategy combination therefore produces bit-identical
+// (collective.Group in-process; meshColl across processes — meshcoll.go),
+// and per-row gradient contributions folded in batch-example order with one
+// optimizer update per (row, iteration). Over the same Config, every
+// engine × fabric combination therefore produces bit-identical
 // embedding-server state — the end-to-end property the differential tests
 // and the fuzz harness (lrpp_fuzz_test.go) enforce under -race.
 package train
@@ -82,17 +81,6 @@ type Config struct {
 	// instead of delaying non-critical contributions one iteration off the
 	// critical path (the §3.3 "Delayed Synchronization" default).
 	SyncEager bool
-	// Collective selects the mesh all-reduce strategy for multi-process
-	// worker runs: "rooted" (one frame per dense parameter, reduced through
-	// rank 0 — the PR-3 wire behavior), "fused" (the default: every
-	// parameter segment plus the loss in a single frame through rank 0),
-	// "ring" (fused frames forwarded around the ring, folded locally), or
-	// "tree" (fused frames relayed up a log₂P binomial tree to rank 0 and
-	// the result sent back down it). All strategies fold in rank order from
-	// zero and are therefore bit-identical; they differ only in frame count
-	// and topology. Single-process engines always use the in-process
-	// collective.Group.
-	Collective string
 	// SyncCompress quantizes replica row pushes to float16 on the mesh,
 	// halving replica bytes. Lossy: the final state is no longer
 	// bit-identical to the baseline, so it cannot be combined with
@@ -127,19 +115,7 @@ func (c *Config) validate() error {
 	if c.NumTrainers <= 0 {
 		return fmt.Errorf("train: need at least one trainer, got %d", c.NumTrainers)
 	}
-	switch c.Collective {
-	case "", CollRooted, CollFused, CollRing, CollTree:
-	default:
-		return fmt.Errorf("train: unknown collective strategy %q (rooted, fused, ring, tree)", c.Collective)
-	}
 	return nil
-}
-
-func (c *Config) collective() string {
-	if c.Collective != "" {
-		return c.Collective
-	}
-	return CollFused
 }
 
 func (c *Config) partitioner() core.Partitioner {
@@ -382,22 +358,25 @@ func newRanks(cfg *Config) (*ranks, error) {
 }
 
 // run is one rank goroutine: it extracts its partition of each batch,
-// runs forward/backward, all-reduces the dense gradients across ranks in a
-// fixed order, and steps its replica.
+// runs forward/backward, all-reduces the dense gradients across ranks in
+// one fused rank-ordered round, and steps its replica.
 func (r *ranks) run(rank int) {
 	defer r.wg.Done()
 	m := r.models[rank]
 	opt := r.opts[rank]
+	params := m.Params()
+	segs := make([][]float32, len(params))
+	for i, p := range params {
+		segs[i] = p.Grad
+	}
 	var dlogits []float32
 	for w := range r.in[rank] {
 		ls := extractLocal(w.batch, w.assign, rank, r.numCat, r.numDense, r.dim, w.rows)
 		loss, dEmb := computeLocal(m, ls, &dlogits)
 		// Every rank joins every collective (idle ranks contribute zeros)
 		// and steps the summed gradient, keeping all replicas bit-identical.
-		for _, p := range m.Params() {
-			r.group.AllReduceSum(rank, p.Grad)
-		}
-		opt.Step(m.Params())
+		r.group.FusedAllReduce(rank, segs, nil)
+		opt.Step(params)
 		r.out[rank] <- rankResult{loss: loss, dEmb: dEmb, mine: ls.mine}
 	}
 }

@@ -25,11 +25,10 @@ import (
 //     arrive reordered (the mesh contract permits it), so a resequencer
 //     (planSeq) feeds the trainer in iteration order.
 //   - dense-gradient and loss collectives: meshColl (meshcoll.go) reduces
-//     them by the configured strategy — rooted per-parameter CollMsgs,
-//     fused single-frame FusedCollMsgs through rank 0, or a ring of fused
-//     frames — every strategy folding in rank order from zero, the exact
-//     summation order of collective.Group, so worker runs stay
-//     bit-identical to single-process and baseline runs.
+//     them as one FusedCollMsg per rank per iteration through rank 0,
+//     folded in rank order from zero, the exact summation order of
+//     collective.Group, so worker runs stay bit-identical to
+//     single-process and baseline runs.
 //   - everything LRPP already exchanged (replicas, delayed-sync flushes)
 //     rides the same mesh unchanged.
 
@@ -134,7 +133,7 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	eng := newLRPPEngine(&cfg, mesh, nil)
 	eng.worker = true
 	ep := mesh.Endpoint(rank)
-	mcoll := newMeshColl(rank, P, ep, cfg.collective(), eng)
+	mcoll := newMeshColl(rank, P, ep, eng)
 	eng.coll = mcoll
 	t, err := newLRPPTrainer(eng, rank, tr, ep)
 	if err != nil {

@@ -82,10 +82,9 @@ type (
 		Plan *core.TrainerPlan
 	}
 
-	// CollMsg is one collective-communication step: a rank's contribution
-	// to (or the root's result of) all-reduce call number Seq. Exactly one
-	// of F32/F64 is non-nil. The rooted (unfused) strategy sends one
-	// CollMsg per dense parameter per step.
+	// CollMsg is the retired per-parameter collective step. No codec arm
+	// or receiver handles it; the type stays because perfbench's trace
+	// classifier names it.
 	CollMsg struct {
 		Seq uint64
 		F32 []float32
@@ -96,14 +95,12 @@ type (
 	// gradient segment plus the float64 loss term of one iteration packed
 	// into a single frame behind a length-prefixed segment table, so a
 	// whole all-reduce round costs one frame instead of one per parameter.
-	// Origin is the contributing rank — under the ring strategy frames are
-	// forwarded peer to peer, so the mesh-level sender (MeshMsg.From) is
-	// the previous hop, not the rank whose gradients these are.
+	// Frames travel straight between a rank and rank 0, never relayed, so
+	// the contributing rank is the mesh-level sender (MeshMsg.From).
 	FusedCollMsg struct {
-		Seq    uint64
-		Origin int
-		Segs   [][]float32
-		Loss   []float64
+		Seq  uint64
+		Segs [][]float32
+		Loss []float64
 	}
 
 	// RawMsg is an opaque byte payload (conformance tests, future control
@@ -118,7 +115,9 @@ const (
 	// SyncBatchMsg) and stays unused so the tags after it keep their values.
 	_
 	tagPlan
-	tagColl
+	// Tag 4 is retired (the per-parameter CollMsg; dense sync travels as
+	// one FusedCollMsg per iteration).
+	_
 	tagRaw
 	tagReplicaF16
 	tagSyncBatch
@@ -161,20 +160,9 @@ func appendPayload(b []byte, p any) []byte {
 	case PlanMsg:
 		b = append(b, tagPlan)
 		b = putPlan(b, m.Plan)
-	case CollMsg:
-		b = append(b, tagColl)
-		b = putU64(b, m.Seq)
-		if m.F64 != nil {
-			b = append(b, 1)
-			b = putF64s(b, m.F64)
-		} else {
-			b = append(b, 0)
-			b = putF32s(b, m.F32)
-		}
 	case FusedCollMsg:
 		b = append(b, tagFusedColl)
 		b = putU64(b, m.Seq)
-		b = putU32(b, uint32(m.Origin))
 		b = putU32(b, uint32(len(m.Segs)))
 		for _, seg := range m.Segs {
 			b = putF32s(b, seg)
@@ -202,7 +190,10 @@ func DecodePayload(b []byte) (any, error) {
 		n := r.count(8)
 		// The map and rows come from the pooled allocator, mirroring the
 		// in-process path where the sender builds them there; the LRPP
-		// receiver releases both once the rows are consumed.
+		// receiver releases both once the rows are consumed. Only widths
+		// some local component already pools are drawn from an arena; any
+		// other width is the frame's claim alone and gets a plain
+		// allocation.
 		m.Rows = GetRowMap()
 		elem := 4
 		if m.F16 {
@@ -217,9 +208,14 @@ func DecodePayload(b []byte) (any, error) {
 				continue
 			}
 			if arena == nil || arena.dim != ne {
-				arena = Rows(ne)
+				arena = registeredRows(ne)
 			}
-			row := arena.Get()
+			var row []float32
+			if arena != nil {
+				row = arena.Get()
+			} else {
+				row = make([]float32, ne)
+			}
 			reg := r.take(ne, elem)
 			if m.F16 {
 				for k := range row {
@@ -242,16 +238,8 @@ func DecodePayload(b []byte) (any, error) {
 		out = m
 	case tagPlan:
 		out = PlanMsg{Plan: r.plan()}
-	case tagColl:
-		m := CollMsg{Seq: r.u64()}
-		if r.u8() == 1 {
-			m.F64 = r.f64s()
-		} else {
-			m.F32 = r.f32s()
-		}
-		out = m
 	case tagFusedColl:
-		m := FusedCollMsg{Seq: r.u64(), Origin: int(r.u32())}
+		m := FusedCollMsg{Seq: r.u64()}
 		n := r.count(4)
 		m.Segs = make([][]float32, 0, n)
 		for i := 0; i < n; i++ {

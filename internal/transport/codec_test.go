@@ -63,13 +63,21 @@ func wirePayloads() []any {
 			}},
 		}},
 		PlanMsg{Plan: plan},
-		CollMsg{Seq: 41, F32: []float32{1.5, -2.25}},
-		CollMsg{Seq: 42, F64: []float64{3.14159, -1e-9}},
-		FusedCollMsg{Seq: 43, Origin: 2,
+		FusedCollMsg{Seq: 43,
 			Segs: [][]float32{{1, 2, 3}, {-0.5}, {4, 5}},
 			Loss: []float64{0.693147}},
 		RawMsg("hello mesh"),
 	}
+}
+
+// retiredTags are payload tags no codec arm decodes any more: 2 was the
+// bare SyncMsg frame, 4 the per-parameter CollMsg.
+var retiredTags = []byte{2, 4}
+
+// retiredFrame is a frame under tag laid out as the per-parameter CollMsg
+// was: seq, an f32/f64 flag, and a length-prefixed vector.
+func retiredFrame(tag byte) []byte {
+	return []byte{tag, 41, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3F}
 }
 
 // TestCodecRoundTrip pins the little-endian codec: every wire payload type
@@ -143,7 +151,7 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 			{Iter: 2, Entries: map[uint64][]Contrib{3: {{Example: 1, Grad: []float32{1, 2}}}}},
 			{Iter: 1, Entries: map[uint64][]Contrib{7: {{Example: 0, Grad: []float32{3, 4}}}}},
 		}},
-		FusedCollMsg{Seq: 9, Origin: 1, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
+		FusedCollMsg{Seq: 9, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
 	}
 	for _, p := range payloads {
 		enc := EncodePayload(p)
@@ -158,6 +166,11 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{0x7F, 1, 2}); err == nil {
 		t.Fatal("unknown tag decoded without error")
+	}
+	for _, tag := range retiredTags {
+		if _, err := DecodePayload(retiredFrame(tag)); err == nil {
+			t.Fatalf("retired tag %d decoded without error", tag)
+		}
 	}
 	if _, err := DecodePayload(nil); err == nil {
 		t.Fatal("empty payload decoded without error")
@@ -189,12 +202,41 @@ func TestCodecPlanBatchBoundedByAssign(t *testing.T) {
 	}
 }
 
+// TestDecodeReplicaWidthsRegisterNoArena: a replica frame's row width is
+// the sender's claim, so decoding frames of many distinct widths must not
+// add an arena to the process-wide registry — each one would be held for
+// the life of the process.
+func TestDecodeReplicaWidthsRegisterNoArena(t *testing.T) {
+	arenas := func() int {
+		n := 0
+		rowArenas.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := arenas()
+	for w := 7001; w <= 7200; w++ {
+		in := ReplicaMsg{Iter: 1, F16: w%2 == 0, Rows: map[uint64][]float32{3: make([]float32, w)}}
+		out, err := DecodePayload(EncodePayload(in))
+		if err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		if got := len(out.(ReplicaMsg).Rows[3]); got != w {
+			t.Fatalf("width %d decoded to a %d-wide row", w, got)
+		}
+	}
+	if after := arenas(); after != before {
+		t.Fatalf("decoding 200 replica widths grew the arena registry from %d to %d", before, after)
+	}
+}
+
 // FuzzDecodePayload: bytes off a mesh socket yield a payload or an error,
 // never a panic, whatever they hold. The corpus starts from an encoding of
 // every payload type.
 func FuzzDecodePayload(f *testing.F) {
 	for _, p := range wirePayloads() {
 		f.Add(EncodePayload(p))
+	}
+	for _, tag := range retiredTags {
+		f.Add(retiredFrame(tag))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = DecodePayload(b)

@@ -285,7 +285,7 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 			{Iter: 5, Entries: map[uint64][]Contrib{3: {{Example: 1, Grad: []float32{0.5}}}}},
 			{Iter: 4, Entries: map[uint64][]Contrib{8: {{Example: 0, Grad: []float32{-1}}}}},
 		}},
-		FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
+		FusedCollMsg{Seq: 11, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
 	}
 	for _, tc := range meshCases() {
 		t.Run(tc.name, func(t *testing.T) {

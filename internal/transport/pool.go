@@ -52,11 +52,23 @@ var rowArenas sync.Map // int → *RowArena
 
 // Rows returns the process-wide shared arena for rows of width dim.
 func Rows(dim int) *RowArena {
-	if a, ok := rowArenas.Load(dim); ok {
-		return a.(*RowArena)
+	if a := registeredRows(dim); a != nil {
+		return a
 	}
 	a, _ := rowArenas.LoadOrStore(dim, NewRowArena(dim))
 	return a.(*RowArena)
+}
+
+// registeredRows returns the shared arena for rows of width dim if some
+// component already registered one, else nil. Decoders of wire frames use
+// it instead of Rows: a width read off a frame must never add an arena to
+// the process-wide registry, or a corrupt or hostile peer could grow it
+// without bound.
+func registeredRows(dim int) *RowArena {
+	if a, ok := rowArenas.Load(dim); ok {
+		return a.(*RowArena)
+	}
+	return nil
 }
 
 // Dim returns the row width this arena serves.

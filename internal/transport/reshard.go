@@ -151,15 +151,16 @@ func (t *ShardedStore) SubscribeRouting(fn func(epoch uint64)) {
 // the coordinator's push — freshly rejoined, or its push RPC was lost) is
 // taught our table. A server at our epoch rejected only because this link
 // never announced it (a fresh connection): announce. A server ahead whose
-// table didn't decode leaves nothing to adopt — wait a beat for the
-// coordinator's push to land. The caller retries the op after every case;
-// staleRetryLimit bounds the loop.
+// table didn't decode, or names servers beyond this client's capacity,
+// leaves nothing to adopt — wait a beat for the coordinator's push to land.
+// The caller retries the op after every case; staleRetryLimit bounds the
+// loop.
 func (t *ShardedStore) adoptRouting(se *StaleRoutingError) {
-	if se.Table != nil && se.Table.Epoch > t.routing.Load().Epoch {
+	cur := t.routing.Load()
+	if se.Table != nil && se.Table.Epoch > cur.Epoch && se.Table.MaxServer() <= t.capacity {
 		t.InstallRouting(se.Table)
 		return
 	}
-	cur := t.routing.Load()
 	rs := ReshardStore(nil)
 	if se.Server >= 0 && se.Server < t.capacity {
 		rs = t.reshardFace(se.Server)

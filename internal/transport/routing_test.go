@@ -245,6 +245,30 @@ func TestDecodeRoutingRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestStaleRoutingOverCapacityFailsAttributed: a fence rejection can carry
+// a well-formed table over more servers than the client has slots for. It
+// is nothing to adopt, like an undecodable one: the op retries up to
+// staleRetryLimit and then fails with an attributed TierError, instead of
+// the install panicking on the table's width.
+func TestStaleRoutingOverCapacityFailsAttributed(t *testing.T) {
+	srvs := []*embed.Server{embed.NewServer(1, 4, 7, 0.05), embed.NewServer(1, 4, 7, 0.05)}
+	wide := settledRouting(1, 8)
+	srvs[0].InstallRouting(wide.Epoch, wide)
+	st := NewShardedStore([]Store{NewInProcess(srvs[0]), NewInProcess(srvs[1])})
+	defer func() {
+		r := recover()
+		te, ok := r.(*TierError)
+		if !ok {
+			t.Fatalf("fetch ended with %v (%T), want an attributed *TierError", r, r)
+		}
+		if te.Server != 0 || asStaleRouting(te.Cause) == nil {
+			t.Fatalf("tier error %v: want server 0 attributed with the stale-routing cause", te)
+		}
+	}()
+	st.Fetch([]uint64{0, 2})
+	t.Fatal("fetch under an over-capacity routing table succeeded")
+}
+
 // FuzzDecodeRouting: decodeRouting never panics on arbitrary bytes, and any
 // table it accepts re-encodes to exactly the bytes it came from (servers
 // keep the encoded form and hand it back in fence rejections).
